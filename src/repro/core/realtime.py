@@ -123,14 +123,21 @@ class RealTimeInferenceLoop:
         window (for a micro-batched call, the caller's per-window share); the
         tick's ``processing_latency_s`` is that plus the acquisition/filtering
         time measured by the matching :meth:`prepare_window`.
+
+        Fails safe: a row with any NaN or inf (a corrupt window, a broken
+        plan) yields ``ACTION_IDLE`` at zero confidence, so it can neither
+        move the arm nor vote for a movement in the smoothing history.
         """
         cfg = self.config
         probabilities = np.asarray(probabilities, dtype=float)
-        best = int(np.argmax(probabilities))
-        confidence = float(probabilities[best])
-        action = self.class_names[best]
-        if confidence < cfg.confidence_threshold:
-            action = ACTION_IDLE
+        if not np.isfinite(probabilities).all():
+            action, confidence = ACTION_IDLE, 0.0
+        else:
+            best = int(np.argmax(probabilities))
+            confidence = float(probabilities[best])
+            action = self.class_names[best]
+            if confidence < cfg.confidence_threshold:
+                action = ACTION_IDLE
         self._history.append(action)
         smoothed = self._majority_vote()
         tick = InferenceTick(

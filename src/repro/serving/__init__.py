@@ -1,18 +1,22 @@
 """Multi-session serving: cross-session micro-batched inference.
 
 The single-participant loop (``repro.core.realtime``) classifies one window
-at a time.  This package scales that loop out: a :class:`FleetServer` clocks
-N concurrent :class:`ServingSession` objects at the label rate, a
-:class:`MicroBatcher` stacks their prepared windows into one
-``(n, channels, samples)`` call on a shared classifier, and
-:class:`FleetTelemetry` reports throughput, tail latency, backlog and
-per-session accuracy.
+at a time.  This package scales that loop out: N concurrent
+:class:`ServingSession` objects prepare windows, a :class:`MicroBatcher`
+stacks them into one ``(n, channels, samples)`` call on a shared
+classifier, and :class:`FleetTelemetry` reports throughput, tail latency,
+backlog and per-session accuracy.
 
-For wall-clock serving, :class:`AsyncFleetScheduler` replaces the lock-step
-tick with deadline-aware flushes, p95-budget admission control
-(:class:`AdmissionController`) and per-cohort model routing
-(:class:`ModelRouter`) — all clock-injected so tests drive it with a
-deterministic virtual clock.
+One flush engine (:class:`~repro.serving.engine.CohortFlushEngine`) owns
+the per-cohort queues and batchers, deadline-aware flushes, in-flight
+tracking, supervision and plan hot-swap.  It has two front ends:
+:class:`AsyncFleetScheduler`, where sessions submit windows in process
+(with p95-budget admission control, :class:`AdmissionController`, and
+per-cohort model routing, :class:`ModelRouter`), and the stream plane's
+:class:`~repro.streams.consumer.StreamConsumerScheduler`.
+:class:`FleetServer` is the scheduler's lock-step alias: every session
+clocked together by ``tick()`` at the label rate.  Everything is
+clock-injected, so tests drive it with a deterministic virtual clock.
 
 Flush *execution* is pluggable behind the
 :class:`~repro.serving.executors.FlushExecutor` protocol:
@@ -70,9 +74,10 @@ from repro.serving.scheduler import (
     ModelRouter,
     SchedulerConfig,
 )
-from repro.serving.server import FleetReport, FleetServer
+from repro.serving.server import FleetServer
 from repro.serving.session import ServingSession
 from repro.serving.telemetry import (
+    FleetReport,
     FleetTelemetry,
     FleetTickRecord,
     SessionStats,

@@ -1,148 +1,67 @@
 """Deadline-aware asynchronous fleet scheduling with admission control.
 
-``FleetServer`` clocks every session in lock-step: one tick, one batch, no
-notion of wall-clock time.  That is the right model for simulation but not
-for serving — real sessions submit windows whenever their acquisition
-hardware produces them, and the batcher has to trade batch size against the
-queueing delay of the oldest waiting window.  This module adds that layer:
+:class:`AsyncFleetScheduler` is the in-process front end of the cohort
+flush engine (:mod:`repro.serving.engine`): sessions attach to it and
+submit windows whenever their acquisition hardware produces them, and
+results go straight back into each session's ``apply_result``.  The
+engine owns everything between — per-cohort queues and batchers, the
+deadline/full-batch flush policy, in-flight tracking, worker supervision
+and plan hot-swap — shared with the stream-plane front end
+(:class:`~repro.streams.consumer.StreamConsumerScheduler`).  This module
+adds what only the in-process front end needs:
 
-- :class:`AsyncFleetScheduler` accepts window submissions at arbitrary
-  wall-clock times and flushes a cohort's micro-batch when either (a) the
-  oldest queued window would otherwise exceed its latency deadline, or
-  (b) the batch is full.
-- :class:`AdmissionController` watches the observed p95 flush latency and,
-  when it blows the configured budget, sheds a fraction of incoming windows
-  (skip-window with telemetry — sessions are degraded, never blocked or
-  crashed) until the tail latency recovers below the hysteresis threshold.
-- :class:`ModelRouter` lets heterogeneous compiled plans (per-cohort
-  classifiers) share one scheduler: each cohort gets its own
-  :class:`~repro.serving.batcher.MicroBatcher` and queue, because windows
-  destined for different models cannot stack into one ``predict_proba``.
+- session membership and :meth:`AsyncFleetScheduler.submit`, which queues
+  a window and flushes its cohort inline once the batch fills;
+- :class:`AdmissionController`, which watches the observed p95 flush
+  latency and, when it blows the configured budget, sheds a fraction of
+  incoming windows (skip-window with telemetry — sessions are degraded,
+  never blocked or crashed) until the tail latency recovers below the
+  hysteresis threshold;
+- the lock-step :meth:`AsyncFleetScheduler.tick`: every session prepared,
+  every cohort flushed, one telemetry record per tick.
+  :class:`~repro.serving.server.FleetServer` is its lock-step alias.
 
-Flush *execution* is pluggable (:mod:`repro.serving.executors`): the
-scheduler decides when a cohort flushes and hands the prepared batch to a
-:class:`~repro.serving.executors.FlushExecutor` — inline on the caller's
-thread (:class:`~repro.serving.executors.SerialExecutor`, the default and
-bit-for-bit the pre-executor behaviour), on a thread pool, or sharded
-across one worker process per cohort.  The scheduler tracks at most one
-in-flight flush per cohort (double-flushes are refused; windows keep
-queueing behind an in-flight flush) and folds completed futures back into
-session state on its own thread.
-
-Everything is clock-injected (:class:`repro.utils.timing.Clock`): production
-uses the system monotonic clock, tests drive a deterministic fake through
-thousands of virtual seconds in milliseconds.  In lock-step mode
-(:meth:`AsyncFleetScheduler.tick`) a single-cohort scheduler is bit-for-bit
-identical to :meth:`repro.serving.server.FleetServer.tick`.
+Flush *execution* is pluggable (:mod:`repro.serving.executors`): inline on
+the caller's thread (:class:`~repro.serving.executors.SerialExecutor`, the
+default), on a thread pool, or sharded across one worker process per
+cohort.  Everything is clock-injected (:class:`repro.utils.timing.Clock`):
+production uses the system monotonic clock, tests drive a deterministic
+fake through thousands of virtual seconds in milliseconds.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import replace
+from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.core.config import CognitiveArmConfig
 from repro.models.base import EEGClassifier
-from repro.serving.batcher import MicroBatcher, PreparedBatch
-from repro.serving.executors import (
-    WORKER_QUARANTINED,
-    WORKER_RESPAWNING,
-    CohortQuarantinedError,
-    FlushExecutor,
-    FlushTicket,
-    SerialExecutor,
-    WorkerDiedError,
-    WorkerRespawnPending,
+from repro.serving.batcher import BatchResult, ExecutionResult
+# SchedulerConfig, ModelRouter, QueuedWindow and FlushEvent live with the
+# engine; they are re-exported here, where callers have always found them.
+from repro.serving.engine import (  # noqa: F401
+    _DEADLINE_EPS,
+    CohortFlushEngine,
+    FlushEvent,
+    ModelRouter,
+    QueuedWindow,
+    SchedulerConfig,
+    _InFlightFlush,
 )
-from repro.serving.server import FleetReport
+from repro.serving.executors import FlushExecutor
 from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import FleetTelemetry, FleetTickRecord, session_stats
+from repro.serving.telemetry import FleetReport, FleetTickRecord, session_stats
 from repro.signals.synthetic import ParticipantProfile
-from repro.utils.timing import SYSTEM_CLOCK, Clock
+from repro.utils.timing import Clock
 
 #: Outcomes of :meth:`AsyncFleetScheduler.submit`.
 SUBMIT_QUEUED = "queued"
 SUBMIT_FLUSHED = "flushed"
 SUBMIT_STALLED = "stalled"
 SUBMIT_SHED = "shed"
-
-#: Tolerance when deciding whether a flush started past a window's deadline,
-#: so flushing *exactly* at the deadline never counts as a violation.
-_DEADLINE_EPS = 1e-9
-
-#: EWMA weight for the per-cohort flush-service-time estimate.
-_SERVICE_EWMA_ALPHA = 0.25
-#: Safety margin on the service estimate when computing serial wake times;
-#: overestimating flushes a touch early (safe), underestimating violates.
-_SERVICE_SAFETY = 1.5
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Policy knobs for :class:`AsyncFleetScheduler`.
-
-    Parameters
-    ----------
-    deadline_s:
-        Maximum time any queued window may wait before its cohort's flush
-        *starts*.  The scheduler reports the next due time via
-        :meth:`AsyncFleetScheduler.next_flush_due_s`; a driver that pumps by
-        then observes zero deadline violations.
-    max_batch_size:
-        Flush a cohort immediately once this many windows are queued, and
-        also the chunk cap handed to each cohort's :class:`MicroBatcher`.
-    latency_budget_s:
-        Admission-control budget on the observed p95 flush latency.  ``None``
-        disables admission control entirely (every window is admitted).
-    admission_window:
-        Number of recent flush latencies in the sliding p95 estimate.
-    recovery_fraction:
-        Hysteresis: once shedding, admission resumes only when the observed
-        p95 falls to ``recovery_fraction * latency_budget_s`` or below.
-    shed_ratio:
-        Fraction of incoming windows refused while shedding, spread evenly
-        across submissions.  Must stay below 1.0 so flushes (and therefore
-        fresh latency samples) keep happening and the controller can observe
-        recovery.
-    stream_lag_budget_s:
-        Admission-control budget on the *upstream* stream lag (oldest
-        un-acked window age on the streaming data plane).  Flush-latency
-        percentiles cannot see windows queueing in the log before a
-        scheduler reads them, so on the stream plane shedding must also
-        trigger on lag, before the log grows unbounded.  ``None`` (the
-        default, and the only meaningful setting off the stream plane)
-        disables the lag trigger.
-    """
-
-    deadline_s: float = 0.015
-    max_batch_size: int = 32
-    latency_budget_s: Optional[float] = None
-    admission_window: int = 32
-    recovery_fraction: float = 0.5
-    shed_ratio: float = 0.5
-    stream_lag_budget_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        if self.latency_budget_s is not None and self.latency_budget_s <= 0:
-            raise ValueError("latency_budget_s must be positive (or None)")
-        if self.admission_window < 1:
-            raise ValueError("admission_window must be at least 1")
-        if not 0.0 < self.recovery_fraction <= 1.0:
-            raise ValueError("recovery_fraction must be in (0, 1]")
-        if not 0.0 < self.shed_ratio < 1.0:
-            raise ValueError(
-                "shed_ratio must be in (0, 1): shedding everything would "
-                "starve the latency estimate and never recover"
-            )
-        if self.stream_lag_budget_s is not None and self.stream_lag_budget_s <= 0:
-            raise ValueError("stream_lag_budget_s must be positive (or None)")
 
 
 class AdmissionController:
@@ -252,119 +171,8 @@ class AdmissionController:
         return True
 
 
-class ModelRouter:
-    """Routes sessions to per-cohort classifiers behind one scheduler.
 
-    Windows destined for different models cannot share a ``predict_proba``
-    call, so the scheduler keeps one batcher and queue per cohort; the
-    router owns the cohort → classifier mapping.  Construct it from a dict
-    (insertion order fixes the cohort flush order) or from a bare classifier
-    for the homogeneous single-cohort case.
-    """
-
-    DEFAULT_COHORT = "default"
-
-    def __init__(
-        self,
-        classifiers: Union[EEGClassifier, Mapping[str, EEGClassifier]],
-        default_cohort: Optional[str] = None,
-    ) -> None:
-        if isinstance(classifiers, Mapping):
-            if not classifiers:
-                raise ValueError("ModelRouter needs at least one classifier")
-            self._classifiers = dict(classifiers)
-        else:
-            self._classifiers = {self.DEFAULT_COHORT: classifiers}
-        if default_cohort is None:
-            default_cohort = next(iter(self._classifiers))
-        if default_cohort not in self._classifiers:
-            raise KeyError(f"default cohort {default_cohort!r} has no classifier")
-        self.default_cohort = default_cohort
-
-    @property
-    def cohorts(self) -> Tuple[str, ...]:
-        return tuple(self._classifiers)
-
-    def classifier_for(self, cohort: str) -> EEGClassifier:
-        try:
-            return self._classifiers[cohort]
-        except KeyError:
-            raise KeyError(
-                f"unknown cohort {cohort!r}; routable cohorts: {list(self._classifiers)}"
-            ) from None
-
-    def resolve(self, cohort: Optional[str]) -> str:
-        """Normalise an optional cohort name, validating it exists."""
-        if cohort is None:
-            return self.default_cohort
-        self.classifier_for(cohort)
-        return cohort
-
-    def replace(self, cohort: str, classifier: EEGClassifier) -> None:
-        """Swap a cohort's classifier in place (plan hot-swap).
-
-        Only existing cohorts can be replaced — the cohort set is fixed at
-        scheduler construction (queues, batchers and executor lanes are all
-        keyed on it).
-        """
-        if cohort not in self._classifiers:
-            raise KeyError(
-                f"unknown cohort {cohort!r}; routable cohorts: {list(self._classifiers)}"
-            )
-        self._classifiers[cohort] = classifier
-
-
-@dataclass
-class QueuedWindow:
-    """One window waiting in a cohort queue for the next flush."""
-
-    session_id: str
-    window: np.ndarray
-    arrival_s: float
-    due_s: float  # absolute clock time by which the flush must start
-
-
-@dataclass
-class FlushEvent:
-    """Outcome of one cohort flush (async or lock-step)."""
-
-    cohort: str
-    #: "deadline", "full", "drain" or "tick" (lock-step).
-    reason: str
-    flushed_at_s: float
-    #: Each served session's resulting tick, keyed by session id.
-    ticks: Dict[str, Any] = field(default_factory=dict)
-    batch_size: int = 0
-    #: Service time: wall clock spent inside ``predict_proba`` only.
-    latency_s: float = 0.0
-    max_queue_wait_s: float = 0.0
-    deadline_violations: int = 0
-    #: Execution backend lane that served the flush ("serial", a worker
-    #: thread name, or a shard-worker id).
-    worker: str = ""
-    #: Time between handing the batch to the executor and the result being
-    #: folded back in, minus the service time: executor queueing/transport
-    #: overhead (0.0 for the inline serial path).
-    executor_wait_s: float = 0.0
-
-
-@dataclass
-class _InFlightFlush:
-    """Book-keeping for one flush handed to the executor, until harvest."""
-
-    cohort: str
-    reason: str
-    started_at_s: float
-    max_wait_s: float
-    violations: int
-    prepared: PreparedBatch
-    ticket: FlushTicket
-    #: True when the flush ran on a degraded (quarantined-cohort serial
-    #: fallback) lane rather than the configured executor.
-    degraded: bool = False
-
-
-class AsyncFleetScheduler:
+class AsyncFleetScheduler(CohortFlushEngine):
     """Deadline-aware micro-batch scheduler over heterogeneous cohorts.
 
     Sessions attach with a cohort (defaulting to the router's default) and
@@ -376,10 +184,8 @@ class AsyncFleetScheduler:
     each probability row back through the owning session's ``apply_result``
     and record one :class:`FleetTickRecord` each.
 
-    In lock-step mode (:meth:`tick`) the scheduler reproduces
-    :meth:`FleetServer.tick <repro.serving.server.FleetServer.tick>`
-    bit-for-bit for a single-cohort fleet: same submission order, same
-    batching and chunking, same telemetry record.
+    In lock-step mode (:meth:`tick`) every session is prepared and every
+    cohort flushed at once, one telemetry record per tick.
 
     Sessions are duck-typed: anything with ``session_id``,
     ``prepare_window()`` and ``apply_result(probabilities, latency_s)``
@@ -396,11 +202,10 @@ class AsyncFleetScheduler:
         clock: Optional[Clock] = None,
         executor: Optional[FlushExecutor] = None,
     ) -> None:
-        self.router = router if isinstance(router, ModelRouter) else ModelRouter(router)
+        super().__init__(
+            router, scheduler_config=scheduler_config, clock=clock, executor=executor
+        )
         self.config = config or CognitiveArmConfig()
-        self.scheduler_config = scheduler_config or SchedulerConfig()
-        self.clock = clock or SYSTEM_CLOCK
-        self.telemetry = FleetTelemetry()
         sched = self.scheduler_config
         self.admission = AdmissionController(
             sched.latency_budget_s,
@@ -409,61 +214,13 @@ class AsyncFleetScheduler:
             shed_ratio=sched.shed_ratio,
             lag_budget_s=sched.stream_lag_budget_s,
         )
-        self.executor: FlushExecutor = executor or SerialExecutor()
-        # Remote executors classify on worker-owned plan replicas, which
-        # auto-specialise over there; binding arenas on the local plans
-        # would only pin scratch that never executes.
-        local_execution = not getattr(self.executor, "remote_execution", False)
-        self._batchers: Dict[str, MicroBatcher] = {
-            cohort: MicroBatcher(
-                self.router.classifier_for(cohort),
-                max_batch_size=sched.max_batch_size,
-                clock=self.clock,
-                specialize=local_execution,
-            )
-            for cohort in self.router.cohorts
-        }
-        self.executor.bind(
-            {
-                cohort: self.router.classifier_for(cohort)
-                for cohort in self.router.cohorts
-            },
-            clock=self.clock,
-        )
-        self._inflight: Dict[str, _InFlightFlush] = {}
-        self._queues: Dict[str, List[QueuedWindow]] = {
-            cohort: [] for cohort in self.router.cohorts
-        }
-        #: Worker deaths observed (and healed) by this scheduler.
-        self.worker_deaths = 0
-        #: Plan hot-swaps completed through :meth:`swap_plan`.
-        self.plan_swaps = 0
-        #: Current plan version per cohort; stamped onto every flush record.
-        self._plan_versions: Dict[str, int] = {
-            cohort: 1 for cohort in self.router.cohorts
-        }
-        #: Quarantined cohorts now served by their inline serial fallback.
-        self._degraded: set = set()
-        #: Lazily-built per-cohort serial fallbacks (degraded serving and
-        #: drain-time service of cohorts whose worker is mid-respawn).
-        self._fallbacks: Dict[str, SerialExecutor] = {}
-        # Per-cohort EWMA of flush *service* time (execute only).  ``None``
-        # means "no sample yet": a genuine zero-latency sample (exact under a
-        # virtual clock) must seed the estimate, not reset it.
-        self._service_ewma_s: Dict[str, Optional[float]] = {
-            cohort: None for cohort in self.router.cohorts
-        }
         self._sessions: Dict[str, Any] = {}
         self._session_cohort: Dict[str, str] = {}
         self._departed: List[Any] = []
         self.shed_by_session: Dict[str, int] = {}
         self.superseded_by_session: Dict[str, int] = {}
-        self._record_index = 0
         self._stalled_since_flush = 0
         self._shed_since_flush = 0
-        #: Most recent flush (any trigger) — the only handle on a flush that
-        #: happened inline inside :meth:`submit` when the batch filled.
-        self.last_flush_event: Optional[FlushEvent] = None
 
     # ------------------------------------------------------------------ #
     # fleet membership
@@ -491,7 +248,11 @@ class AsyncFleetScheduler:
         profile: Optional[ParticipantProfile] = None,
         **session_kwargs,
     ) -> Any:
-        """Attach a session to a cohort (building a ServingSession if needed)."""
+        """Attach a session to a cohort (building a ServingSession if needed).
+
+        The session is started immediately, so it is eligible for the very
+        next submission or tick.
+        """
         cohort = self.router.resolve(cohort)
         if session is None:
             if session_id is None:
@@ -507,6 +268,18 @@ class AsyncFleetScheduler:
             )
         if session.session_id in self._sessions:
             raise ValueError(f"session {session.session_id!r} already attached")
+        self._check_session(session)
+        start = getattr(session, "start", None)
+        if start is not None:
+            start()
+        self._sessions[session.session_id] = session
+        self._session_cohort[session.session_id] = cohort
+        self.shed_by_session.setdefault(session.session_id, 0)
+        self.superseded_by_session.setdefault(session.session_id, 0)
+        return session
+
+    def _check_session(self, session: Any) -> None:
+        """Refuse a session whose windows cannot stack with the fleet's."""
         session_config = getattr(session, "config", None)
         if session_config is not None and (
             session_config.n_channels != self.config.n_channels
@@ -516,14 +289,6 @@ class AsyncFleetScheduler:
                 "session window/channel shape does not match the fleet; "
                 "windows from one cohort must stack into one batch"
             )
-        start = getattr(session, "start", None)
-        if start is not None:
-            start()
-        self._sessions[session.session_id] = session
-        self._session_cohort[session.session_id] = cohort
-        self.shed_by_session.setdefault(session.session_id, 0)
-        self.superseded_by_session.setdefault(session.session_id, 0)
-        return session
 
     def remove_session(self, session_id: str) -> Any:
         """Detach a session; queued windows for it are flushed normally later."""
@@ -571,281 +336,11 @@ class AsyncFleetScheduler:
             self._shed_since_flush += 1
             return SUBMIT_SHED
         cohort = self._session_cohort[session_id]
-        queue = self._queues[cohort]
-        for index, item in enumerate(queue):
-            if item.session_id == session_id:
-                del queue[index]  # re-append below so the queue stays FIFO
-                self.superseded_by_session[session_id] += 1
-                break
-        now = self.clock.now()
-        queue.append(
-            QueuedWindow(
-                session_id,
-                window,
-                arrival_s=now,
-                due_s=now + self.scheduler_config.deadline_s,
-            )
-        )
-        if (
-            len(queue) >= self.scheduler_config.max_batch_size
-            and cohort not in self._inflight
-            and self._cohort_available(cohort)
-        ):
-            flight = self._try_begin_flush(cohort, reason="full")
-            if flight is None:
-                # The worker died or went respawning at submit; the windows
-                # stay queued and a later pump (or drain) serves them.
-                return SUBMIT_QUEUED
-            event = self._complete(cohort)
-            if event.reason == "worker-died":
-                return SUBMIT_QUEUED
-            return SUBMIT_FLUSHED
-        return SUBMIT_QUEUED
-
-    # ------------------------------------------------------------------ #
-    # supervision / self-healing
-    # ------------------------------------------------------------------ #
-    def _supervised(self) -> bool:
-        """Whether the executor exposes the worker-supervision surface."""
-        return hasattr(self.executor, "worker_state")
-
-    def _fallback_for(self, cohort: str) -> SerialExecutor:
-        """The cohort's inline serial fallback lane, built on first use."""
-        fallback = self._fallbacks.get(cohort)
-        if fallback is None:
-            fallback = SerialExecutor(label=f"degraded:{cohort}")
-            fallback.bind(
-                {cohort: self.router.classifier_for(cohort)}, clock=self.clock
-            )
-            self._fallbacks[cohort] = fallback
-        return fallback
-
-    def _degrade(self, cohort: str) -> None:
-        """Permanently route a quarantined cohort to its serial fallback."""
-        if cohort in self._degraded:
-            return
-        self._degraded.add(cohort)
-        self._fallback_for(cohort)
-
-    def _executor_for(self, cohort: str) -> FlushExecutor:
-        if cohort in self._degraded:
-            return self._fallbacks[cohort]
-        return self.executor
-
-    def _cohort_available(self, cohort: str) -> bool:
-        """Whether a flush submitted for this cohort now would be accepted.
-
-        Respawning cohorts are unavailable until their backoff elapses (the
-        windows keep queueing; :meth:`_schedule` pushes their wake time to
-        the retry); quarantined cohorts degrade to the serial fallback and
-        become available again immediately.
-        """
-        if cohort in self._degraded or not self._supervised():
-            return True
-        state = self.executor.worker_state(cohort)
-        if state == WORKER_QUARANTINED:
-            self._degrade(cohort)
-            return True
-        if state == WORKER_RESPAWNING:
-            retry_at = self.executor.respawn_due_s(cohort)
-            return retry_at is None or self.clock.now() >= retry_at
-        return True
-
-    def _effective_due_s(self, cohort: str, due_s: float) -> float:
-        """A queued window's due time, pushed back to any pending respawn.
-
-        A cohort whose worker is mid-backoff cannot flush before the retry
-        time no matter how overdue its windows are; scheduling the wake at
-        the original due time would spin the pump without progress.
-        """
-        if cohort in self._degraded or not self._supervised():
-            return due_s
-        if self.executor.worker_state(cohort) == WORKER_RESPAWNING:
-            retry_at = self.executor.respawn_due_s(cohort)
-            if retry_at is not None:
-                return max(due_s, retry_at)
-        return due_s
-
-    def _heal_worker_death(self, cohort: str) -> bool:
-        """Absorb one worker death; ``False`` means the caller must raise.
-
-        Healing is only possible when the executor supervises its workers
-        (it respawns the lane; the scheduler merely waits out the backoff).
-        Counts the death, emits a ``worker-died`` telemetry record, and
-        degrades the cohort if the supervisor quarantined it.
-        """
-        if not self._supervised():
-            return False
-        self.worker_deaths += 1
-        self._record(
-            batch_size=0,
-            latency_s=0.0,
-            violations=0,
-            max_wait=0.0,
-            reason="worker-died",
-            cohort=cohort,
-            completed_at_s=self.clock.now(),
-            plan_version=self._plan_versions.get(cohort, 0),
-        )
-        if self.executor.worker_state(cohort) == WORKER_QUARANTINED:
-            self._degrade(cohort)
-        return True
-
-    def _try_begin_flush(
-        self, cohort: str, reason: str
-    ) -> Optional[_InFlightFlush]:
-        """Begin a flush, absorbing recoverable executor failures.
-
-        Returns ``None`` when the flush could not start but the windows are
-        safely back in the queue: the worker died at submit (healed — the
-        supervisor respawns it), the cohort is mid-backoff, or it was just
-        quarantined (degraded — the next attempt serves via the fallback).
-        Unrecoverable failures (or deaths on an unsupervised executor)
-        propagate exactly as before.
-        """
-        try:
-            return self._begin_flush(cohort, reason)
-        except WorkerDiedError:
-            # _begin_flush already restored the queue before re-raising.
-            if not self._heal_worker_death(cohort):
-                raise
-            return None
-        except WorkerRespawnPending:
-            return None
-        except CohortQuarantinedError:
-            self._degrade(cohort)
-            return None
-
-    def service_estimate_s(self, cohort: str) -> Optional[float]:
-        """Current EWMA of the cohort's flush service time (None = no sample)."""
-        return self._service_ewma_s[cohort]
-
-    def _schedule(self) -> Tuple[Optional[float], List[str]]:
-        """Wake time and flush order meeting all deadlines on this executor.
-
-        On a serializing executor cohorts flush one after another, so a
-        cohort's flush must start early enough that the cohorts due *before*
-        it can be served first: with dues ``d1 <= d2 <= ...`` and
-        (safety-inflated) service estimates ``s1, s2, ...``, the executor
-        must wake at ``min(d1, d2 - s1, d3 - s1 - s2, ...)``.  With one
-        cohort this degenerates to the oldest window's plain due time.
-
-        On a concurrent executor (thread pool, process shards) cohort
-        flushes overlap, so every cohort's deadline stands alone and the
-        wake time is simply the earliest due time.
-        """
-        pending = sorted(
-            (self._effective_due_s(cohort, queue[0].due_s), cohort)
-            for cohort, queue in self._queues.items()
-            if queue
-        )
-        if not pending:
-            return None, []
-        order = [cohort for _, cohort in pending]
-        if not self.executor.serializes_flushes:
-            return pending[0][0], order
-        wake = float("inf")
-        ahead = 0.0
-        for due, cohort in pending:
-            wake = min(wake, due - ahead)
-            estimate = self._service_ewma_s[cohort]
-            ahead += _SERVICE_SAFETY * (estimate if estimate is not None else 0.0)
-        return wake, order
-
-    def next_flush_due_s(self) -> Optional[float]:
-        """Absolute clock time by which :meth:`pump` must next be called.
-
-        A driver that pumps no later than this guarantees no queued window
-        waits past its deadline: the time is the earliest pending due time,
-        pulled forward — on a serializing executor — by the estimated
-        service time of any other cohorts that must flush first.
-        """
-        wake, _ = self._schedule()
-        return wake
-
-    @property
-    def inflight_cohorts(self) -> Tuple[str, ...]:
-        """Cohorts whose flush is currently running on the executor."""
-        return tuple(self._inflight)
-
-    def pump(self, horizon_s: float = 0.0, wait: bool = True) -> List[FlushEvent]:
-        """Flush cohorts whose wake time has arrived, in due order.
-
-        A cohort can flush slightly *before* its own deadline when (on a
-        serializing executor) an earlier-due cohort's estimated service time
-        would otherwise push it past; flushing early is always
-        deadline-safe, just a smaller batch.  On a concurrent executor every
-        due cohort is handed to the executor immediately, so their flushes
-        overlap.
-
-        ``horizon_s`` extends the lookahead for drivers that are about to
-        be busy: ``pump(horizon_s=0.005)`` also flushes anything that would
-        come due within the next 5 ms, so a single-threaded driver can
-        flush *before* starting work it cannot interrupt (e.g. an expensive
-        ``prepare_window``) instead of returning to an already-missed
-        deadline.
-
-        With ``wait=True`` (the default) the call blocks until every flush
-        it started has been harvested, so the returned events are complete
-        and no executor work remains when it returns.  ``wait=False``
-        returns as soon as the due flushes are *started*; their events
-        surface from a later ``pump``/``drain`` once the futures complete
-        (see :attr:`inflight_cohorts`).  Either way, a cohort whose previous
-        flush is still in flight is never double-flushed: the call waits
-        that flush out first.
-        """
-        if horizon_s < 0:
-            raise ValueError("horizon_s must be non-negative")
-        events = self._harvest(block=False)
-        while True:
-            # A backlog that filled to a whole batch behind an in-flight
-            # flush is due the moment the cohort frees up, deadline or not —
-            # the inline full-batch flush in submit() was refused for it.
-            cohort = self._next_full_cohort()
-            reason = "full"
-            if cohort is None:
-                wake, order = self._schedule()
-                if wake is None or self.clock.now() + horizon_s < wake - _DEADLINE_EPS:
-                    break
-                cohort = next(
-                    (
-                        c
-                        for c in order
-                        if c not in self._inflight and self._cohort_available(c)
-                    ),
-                    None,
-                )
-                reason = "deadline"
-                if cohort is None:
-                    # Every due cohort is either in flight or waiting out a
-                    # respawn backoff.  Wait the most urgent in-flight one
-                    # out and reconsider (its queue may have refilled); with
-                    # nothing in flight there is no progress to make now —
-                    # the respawning cohorts' wake times are in the future.
-                    busy = next((c for c in order if c in self._inflight), None)
-                    if busy is None:
-                        break
-                    events.append(self._complete(busy))
-                    continue
-            flight = self._try_begin_flush(cohort, reason=reason)
-            if flight is None:
-                # Worker death absorbed (or backoff hit) — the windows are
-                # back in the queue and the cohort is unavailable until its
-                # respawn, so the next _schedule() pass moves past it.
-                continue
-            if flight.ticket.done():
-                events.append(self._complete(cohort))
-        if wait:
-            # Wait out *everything* in flight — flushes started here and any
-            # left over from an earlier pump(wait=False) — so the documented
-            # contract holds: no executor work remains when pump() returns.
-            events.extend(self._harvest(block=True))
-            while (cohort := self._next_full_cohort()) is not None:
-                flight = self._try_begin_flush(cohort, reason="full")
-                if flight is None:
-                    break  # cohort went respawning; a later pump serves it
-                events.append(self._complete(cohort))
-        return events
+        self._enqueue(cohort, session_id, window, self.clock.now())
+        event = self._flush_if_full(cohort)
+        if event is None or event.reason == "worker-died":
+            return SUBMIT_QUEUED
+        return SUBMIT_FLUSHED
 
     def drain(self) -> List[FlushEvent]:
         """Flush everything still queued, regardless of deadlines.
@@ -853,152 +348,20 @@ class AsyncFleetScheduler:
         Also waits out and returns any flushes still in flight on the
         executor, so after ``drain()`` no window and no future is pending.
         """
-        events = self._harvest(block=True)
-        passes = 0
-        while any(self._queues.values()):
-            passes += 1
-            if passes > 64:
-                raise RuntimeError(
-                    "drain() did not converge: workers keep dying faster "
-                    "than the fallback can serve"
-                )
-            for cohort in [c for c, q in self._queues.items() if q]:
-                if not self._queues[cohort]:
-                    continue
-                if self._cohort_available(cohort):
-                    flight = self._try_begin_flush(cohort, reason="drain")
-                    if flight is not None:
-                        events.append(self._complete(cohort))
-                        continue
-                if self._queues[cohort]:
-                    # The cohort's worker is mid-respawn and drain cannot
-                    # wait out virtual backoffs: serve this one flush on
-                    # the inline fallback without degrading the cohort.
-                    self._begin_flush(
-                        cohort, reason="drain", executor=self._fallback_for(cohort)
-                    )
-                    events.append(self._complete(cohort))
+        events = super().drain()
         if self._shed_since_flush or self._stalled_since_flush:
             # Sheds/stalls after the last flush would otherwise never reach
             # telemetry; emit an empty record to carry the counters (empty
             # records are excluded from latency percentiles).
-            self._record(
-                batch_size=0, latency_s=0.0, violations=0, max_wait=0.0, reason="drain"
-            )
+            self._record("", "drain")
         return events
 
-    def _harvest(self, block: bool) -> List[FlushEvent]:
-        """Fold completed in-flight flushes back in; optionally wait for all."""
-        events = []
-        for cohort in list(self._inflight):
-            if block or self._inflight[cohort].ticket.done():
-                events.append(self._complete(cohort))
-        return events
-
-    def _next_full_cohort(self) -> Optional[str]:
-        """A cohort whose backlog fills a whole batch and is free to flush."""
-        for cohort, queue in self._queues.items():
-            if (
-                len(queue) >= self.scheduler_config.max_batch_size
-                and cohort not in self._inflight
-                and self._cohort_available(cohort)
-            ):
-                return cohort
-        return None
-
-    def _begin_flush(
-        self,
-        cohort: str,
-        reason: str,
-        executor: Optional[FlushExecutor] = None,
-    ) -> _InFlightFlush:
-        """Hand a cohort's queued windows to the executor (phase one).
-
-        ``executor`` overrides the cohort's routed lane for this one flush
-        (drain uses it to serve a mid-respawn cohort on the inline fallback
-        without degrading it permanently).
-        """
-        if cohort in self._inflight:
-            raise RuntimeError(
-                f"cohort {cohort!r} already has a flush in flight; "
-                "double-flushes are refused"
-            )
-        if executor is None:
-            executor = self._executor_for(cohort)
-        queue, self._queues[cohort] = self._queues[cohort], []
-        if not queue:
-            raise RuntimeError(f"internal: flush of empty cohort queue {cohort!r}")
-        batcher = self._batchers[cohort]
-        started_at = self.clock.now()
-        waits = [started_at - item.arrival_s for item in queue]
-        violations = sum(
-            1 for item in queue if started_at > item.due_s + _DEADLINE_EPS
-        )
-        for item in queue:
-            batcher.submit(item.session_id, item.window)
-        prepared = batcher.prepare()
-        assert prepared is not None
-        try:
-            ticket = executor.submit_flush(cohort, prepared)
-        except Exception:
-            # The executor refused the batch (worker died, pool shut down).
-            # Put the windows back so no admitted window is silently lost:
-            # a recovered executor (or drain) can still serve them, and the
-            # one-result-per-admitted-window conservation invariant holds.
-            self._queues[cohort] = queue + self._queues[cohort]
-            raise
-        flight = _InFlightFlush(
-            cohort=cohort,
-            reason=reason,
-            started_at_s=started_at,
-            max_wait_s=max(waits, default=0.0),
-            violations=violations,
-            prepared=prepared,
-            ticket=ticket,
-            degraded=executor is not self.executor,
-        )
-        self._inflight[cohort] = flight
-        return flight
-
-    def _complete(self, cohort: str) -> FlushEvent:
-        """Harvest one in-flight flush: route results, record telemetry."""
-        flight = self._inflight[cohort]
-        # Resolve the ticket *before* dropping the in-flight entry: if
-        # result() raises (worker timeout), the flush stays tracked and a
-        # later pump/drain retries the harvest instead of wedging the cohort.
-        try:
-            execution = flight.ticket.result()
-        except WorkerDiedError:
-            # The worker is gone and this flush will never be answered:
-            # requeue the windows (the respawned worker, fallback or drain
-            # serves them) instead of wedging the cohort behind a dead lane.
-            # On a supervised executor the death is absorbed — the
-            # supervisor schedules the respawn and a synthetic event marks
-            # the spot; unsupervised executors raise exactly as before.
-            del self._inflight[cohort]
-            self._requeue(flight)
-            if not self._heal_worker_death(cohort):
-                raise
-            event = FlushEvent(
-                cohort=cohort,
-                reason="worker-died",
-                flushed_at_s=flight.started_at_s,
-            )
-            self.last_flush_event = event
-            return event
-        del self._inflight[cohort]
-        result = self._batchers[cohort].finalize(flight.prepared, execution)
-        completed_at = self.clock.now()
-        # Service EWMA: execute-only time, so wake-time estimates are not
-        # polluted by executor queueing.  None means "no sample yet" — a
-        # genuine 0.0 sample must seed the estimate, not reset it.
-        previous = self._service_ewma_s[cohort]
-        self._service_ewma_s[cohort] = (
-            execution.service_s
-            if previous is None
-            else _SERVICE_EWMA_ALPHA * execution.service_s
-            + (1.0 - _SERVICE_EWMA_ALPHA) * previous
-        )
+    # ------------------------------------------------------------------ #
+    # engine hooks
+    # ------------------------------------------------------------------ #
+    def _deliver(
+        self, flight: _InFlightFlush, result: BatchResult, execution: ExecutionResult
+    ) -> Dict[str, Any]:
         per_window = result.per_window_latency_s()
         ticks: Dict[str, Any] = {}
         for session_id, probabilities in result.results.items():
@@ -1006,133 +369,38 @@ class AsyncFleetScheduler:
             if session is None:  # departed while queued/in flight: drop its row
                 continue
             ticks[session_id] = session.apply_result(probabilities, per_window)
-        executor_wait = max(
-            0.0, (completed_at - flight.started_at_s) - execution.service_s
-        )
-        self._record(
-            batch_size=len(result),
-            latency_s=result.latency_s,
-            violations=flight.violations,
-            max_wait=flight.max_wait_s,
-            reason=flight.reason,
-            cohort=cohort,
-            worker=execution.worker,
-            executor_wait_s=executor_wait,
-            completed_at_s=completed_at,
-            specialized=execution.specialized,
-            plan_version=execution.plan_version
-            or self._plan_versions.get(cohort, 0),
-            degraded=flight.degraded,
-        )
-        event = FlushEvent(
-            cohort=cohort,
-            reason=flight.reason,
-            flushed_at_s=flight.started_at_s,
-            ticks=ticks,
-            batch_size=len(result),
-            latency_s=result.latency_s,
-            max_queue_wait_s=flight.max_wait_s,
-            deadline_violations=flight.violations,
-            worker=execution.worker,
-            executor_wait_s=executor_wait,
-        )
-        self.last_flush_event = event
-        return event
+        self.admission.observe(result.latency_s)
+        return ticks
 
-    def _requeue(self, flight: _InFlightFlush) -> None:
-        """Put an unserved flush's windows back at the head of its queue.
-
-        The original per-window arrival times were consumed by
-        ``_begin_flush``; the flush start stands in (it is never earlier, so
-        the re-derived deadlines are conservative).  Windows from sessions
-        that departed while the flush was in flight are dropped, matching
-        the harvest path, and a session that already queued a *fresher*
-        window behind the in-flight flush keeps that one — the stale window
-        is superseded, exactly as if the flush had never started.
-        """
-        deadline = self.scheduler_config.deadline_s
-        queue = self._queues[flight.cohort]
-        fresher = {item.session_id for item in queue}
-        requeued = []
-        for index, session_id in enumerate(flight.prepared.session_ids):
-            if session_id not in self._sessions:
-                continue
-            if session_id in fresher:
-                self.superseded_by_session[session_id] += 1
-                continue
-            requeued.append(
-                QueuedWindow(
-                    session_id,
-                    flight.prepared.windows[index],
-                    arrival_s=flight.started_at_s,
-                    due_s=flight.started_at_s + deadline,
-                )
-            )
-        self._queues[flight.cohort] = requeued + queue
-
-    def _flush(self, cohort: str, reason: str) -> FlushEvent:
-        """Begin and immediately harvest one flush (synchronous paths)."""
-        self._begin_flush(cohort, reason)
-        return self._complete(cohort)
-
-    def _record(
-        self,
-        batch_size: int,
-        latency_s: float,
-        violations: int,
-        max_wait: float,
-        reason: str,
-        cohort: str = "",
-        worker: str = "",
-        executor_wait_s: float = 0.0,
-        completed_at_s: float = 0.0,
-        specialized: bool = False,
-        plan_version: int = 0,
-        degraded: bool = False,
-    ) -> None:
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._record_index,
-                n_sessions=len(self._sessions),
-                batch_size=batch_size,
-                stalled_sessions=self._stalled_since_flush,
-                batch_latency_s=latency_s,
-                backlog_depth=sum(
-                    getattr(s, "backlog_depth", 0) for s in self._sessions.values()
-                ),
-                shed_sessions=self._shed_since_flush,
-                deadline_violations=violations,
-                max_queue_wait_s=max_wait,
-                flush_reason=reason,
-                cohort=cohort,
-                worker=worker,
-                executor_wait_s=executor_wait_s,
-                completed_at_s=completed_at_s,
-                specialized=specialized,
-                plan_version=plan_version,
-                degraded=degraded,
-            )
-        )
-        self._record_index += 1
+    def _record_fields(self, context: Any) -> Dict[str, Any]:
+        fields = {
+            "n_sessions": len(self._sessions),
+            "stalled_sessions": self._stalled_since_flush,
+            "shed_sessions": self._shed_since_flush,
+            "backlog_depth": sum(
+                getattr(s, "backlog_depth", 0) for s in self._sessions.values()
+            ),
+        }
         self._stalled_since_flush = 0
         self._shed_since_flush = 0
-        if batch_size > 0:
-            self.admission.observe(latency_s)
+        return fields
+
+    def _on_superseded(self, cohort: str, stale: QueuedWindow) -> None:
+        self.superseded_by_session[stale.session_id] += 1
+
+    def _serves(self, session_id: str) -> bool:
+        return session_id in self._sessions
 
     # ------------------------------------------------------------------ #
     # lock-step compatibility mode
     # ------------------------------------------------------------------ #
     def tick(self) -> Dict[str, Any]:
-        """Run one lock-step fleet tick, exactly like ``FleetServer.tick``.
+        """Run one lock-step fleet tick; returns each served session's tick.
 
         Every attached session is prepared in insertion order and every
-        cohort is flushed immediately — no queueing, no deadlines, and
-        admission control still applies.  With admission disabled (the
-        default) and the fleet fitting in one ``max_batch_size`` chunk (so
-        both sides issue identical ``predict_proba`` calls), a single-cohort
-        scheduler is bit-for-bit identical to
-        :class:`~repro.serving.server.FleetServer`, including the telemetry
-        record.
+        cohort is flushed immediately (chunked at ``max_batch_size``) — no
+        queueing, no deadlines, and admission control still applies.  The
+        whole tick is one telemetry record with reason ``"tick"``.
 
         The lock-step and asynchronous entry points must not interleave on
         one instance: windows queued via :meth:`submit` would be applied out
@@ -1201,121 +469,17 @@ class AsyncFleetScheduler:
         self._record_index += 1
         return ticks
 
-    # ------------------------------------------------------------------ #
-    # plan hot-swap
-    # ------------------------------------------------------------------ #
-    def swap_plan(
-        self,
-        cohort: Optional[str] = None,
-        payload: Optional[bytes] = None,
-        classifier: Optional[EEGClassifier] = None,
-    ) -> int:
-        """Swap a cohort's serving plan under traffic; returns the new version.
-
-        Pass exactly one of ``payload`` (``.npz`` transport bytes from
-        :meth:`repro.models.compiled.CompiledClassifier.to_payload`) or
-        ``classifier`` (a live classifier object).  Any in-flight flush for
-        the cohort is harvested first, so no flush straddles the swap: every
-        flush serves entirely on the old plan or entirely on the new one,
-        and version-aware executors stamp which on each record.
-
-        On a remote, swap-capable executor (process shards, the chaos
-        simulator) the payload ships to the worker as a versioned control
-        message and the worker double-buffers the flip; the local router,
-        batcher and fallback are updated in lockstep so drain-time and
-        degraded serving also use the new plan.  On local executors the
-        swap is a synchronous classifier replacement between flushes.
-        """
-        cohort = self.router.resolve(cohort)
-        if (payload is None) == (classifier is None):
-            raise ValueError("pass exactly one of payload= or classifier=")
-        if cohort in self._inflight:
-            self._complete(cohort)
-        executor = self.executor
-        remote_swap = getattr(executor, "remote_execution", False) and hasattr(
-            executor, "swap_plan"
-        )
-        if classifier is not None:
-            local = classifier
-        else:
-            from repro.models.compiled import CompiledClassifier
-
-            local = CompiledClassifier.from_payload(payload)
-        if remote_swap:
-            version = executor.swap_plan(
-                cohort, payload if payload is not None else classifier
-            )
-        else:
-            version = self._plan_versions.get(cohort, 0) + 1
-            swap = getattr(executor, "swap_classifier", None)
-            if swap is not None:
-                swap(cohort, local)
-        self.router.replace(cohort, local)
-        self._batchers[cohort].swap_classifier(local)
-        if cohort in self._fallbacks:
-            self._fallbacks[cohort].swap_classifier(cohort, local)
-        self._plan_versions[cohort] = version
-        self.plan_swaps += 1
-        return version
-
-    def plan_version(self, cohort: Optional[str] = None) -> int:
-        """Current plan version of a cohort (1 until the first swap)."""
-        return self._plan_versions.get(self.router.resolve(cohort), 0)
-
-    def fleet_health(self) -> Dict[str, Dict[str, Any]]:
-        """Per-cohort supervision snapshot: state, plan version, restarts.
-
-        ``state`` is ``"degraded"`` once a cohort serves from its serial
-        fallback, otherwise the supervisor's view (``running`` /
-        ``respawning`` / ``quarantined``; plain ``running`` on unsupervised
-        executors, which have no lanes to lose).
-        """
-        health: Dict[str, Dict[str, Any]] = {}
-        supervised = self._supervised()
-        for cohort in self.router.cohorts:
-            if cohort in self._degraded:
-                state = "degraded"
-            elif supervised:
-                state = self.executor.worker_state(cohort)
-            else:
-                state = "running"
-            restarts = 0
-            if supervised and hasattr(self.executor, "restart_count"):
-                restarts = self.executor.restart_count(cohort)
-            health[cohort] = {
-                "state": state,
-                "plan_version": self._plan_versions.get(cohort, 0),
-                "restarts": restarts,
-                "queued": len(self._queues[cohort]),
-            }
-        return health
 
     # ------------------------------------------------------------------ #
     # reporting / lifecycle
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Drain pending work, stop the executor, then every session."""
-        self.drain()
-        self.executor.shutdown()
-        for fallback in self._fallbacks.values():
-            fallback.shutdown()
-        self._fallbacks = {}
-        self._degraded = set()
+        super().shutdown()
         for session_id in list(self._sessions):
             self.remove_session(session_id)
 
     def report(self) -> FleetReport:
         """Fleet summary over attached and departed sessions."""
         everyone = list(self._sessions.values()) + self._departed
-        return FleetReport(
-            ticks=self._record_index,
-            fleet=self.telemetry.summary(),
-            sessions=session_stats(everyone),
-            cohorts=self.telemetry.cohort_breakdown(),
-            workers=self.telemetry.worker_breakdown(),
-            specialization={
-                cohort: stats
-                for cohort, batcher in self._batchers.items()
-                if (stats := batcher.specialization_stats()) is not None
-            },
-        )
+        return replace(super().report(), sessions=session_stats(everyone))

@@ -1,138 +1,47 @@
-"""The fleet server: N concurrent sessions, one shared classifier.
+"""The fleet server: N lock-step sessions, one shared classifier.
 
-``FleetServer`` clocks every attached :class:`ServingSession` at the label
-rate.  Each fleet tick runs the two-phase protocol: phase one asks every
-session for its prepared window (sessions advance their boards in lock-step
-simulated time), phase two classifies all prepared windows in one
-micro-batched ``predict_proba`` call and routes each probability row back to
-the session that produced the window.
+``FleetServer`` is the lock-step alias of
+:class:`~repro.serving.scheduler.AsyncFleetScheduler`: a single-cohort
+scheduler clocked by :meth:`~repro.serving.scheduler.AsyncFleetScheduler.tick`
+at the label rate.  Each tick runs the two-phase protocol — every attached
+:class:`ServingSession` prepares its window (boards advance in lock-step
+simulated time), all prepared windows are classified in one micro-batched
+``predict_proba`` call, and each probability row goes back to the session
+that produced the window.
 
 Sessions may join and leave between ticks — mid-run churn is the normal
 case, not an error — and fleets may mix heterogeneous participant profiles.
-When a session stalls (produces no window), the server degrades gracefully:
-that tick's batch simply shrinks, the other sessions are served on time, and
-the stalled session's backlog is tracked in telemetry until it recovers.
-
-Neural classifiers are served from their compiled inference plan — the
-:class:`MicroBatcher` warms it at fleet construction, so every batched
-``predict_proba`` on the hot path runs the fused float32 kernels, never the
-autograd graph (see :mod:`repro.nn.inference`).
+When a session stalls (produces no window), that tick's batch simply
+shrinks, the other sessions are served on time, and the stalled session's
+backlog is tracked in telemetry until it recovers.  The one thing the alias
+adds is the lock-step clock check: every session must share the fleet's
+label and sampling rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Optional
 
 from repro.core.config import CognitiveArmConfig
-from repro.core.realtime import InferenceTick
 from repro.models.base import EEGClassifier
-from repro.serving.batcher import MicroBatcher
-from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import (
-    FleetTelemetry,
-    FleetTickRecord,
-    SessionStats,
-    session_stats,
-)
-from repro.signals.synthetic import ParticipantProfile
-from repro.utils.timing import SYSTEM_CLOCK, Clock
+from repro.serving.scheduler import AsyncFleetScheduler
+from repro.serving.telemetry import FleetReport
+from repro.utils.timing import Clock
 
 
-@dataclass
-class FleetReport:
-    """End-of-run summary: fleet aggregates plus per-session roll-ups.
-
-    ``cohorts`` and ``workers`` break the aggregate down by model cohort
-    (queue wait vs service time) and execution lane (utilisation); they are
-    only populated by flush records that carry those labels — i.e. by the
-    asynchronous scheduler — and stay empty for pure lock-step runs.
-    """
-
-    ticks: int
-    fleet: Dict[str, float]
-    sessions: List[SessionStats] = field(default_factory=list)
-    cohorts: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    workers: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Per-cohort plan-specialisation counters (arena hit rate, held scratch
-    #: bytes); keyed ``"default"`` for the single-cohort lock-step server.
-    specialization: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def session(self, session_id: str) -> SessionStats:
-        for stats in self.sessions:
-            if stats.session_id == session_id:
-                return stats
-        raise KeyError(session_id)
-
-
-class FleetServer:
-    """Schedules N serving sessions against one shared classifier."""
+class FleetServer(AsyncFleetScheduler):
+    """Schedules N serving sessions in lock-step against one classifier."""
 
     def __init__(
         self,
         classifier: EEGClassifier,
         config: Optional[CognitiveArmConfig] = None,
-        max_batch_size: Optional[int] = None,
         clock: Optional[Clock] = None,
     ) -> None:
-        self.classifier = classifier
-        self.config = config or CognitiveArmConfig()
-        self.clock = clock or SYSTEM_CLOCK
-        self.batcher = MicroBatcher(classifier, max_batch_size, clock=self.clock)
-        self.telemetry = FleetTelemetry()
-        self._sessions: Dict[str, ServingSession] = {}
-        self._departed: List[ServingSession] = []
-        self._tick_index = 0
+        super().__init__(classifier, config, clock=clock)
 
-    # ------------------------------------------------------------------ #
-    # fleet membership (callable between any two ticks)
-    # ------------------------------------------------------------------ #
-    @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)
-
-    @property
-    def sessions(self) -> List[ServingSession]:
-        return list(self._sessions.values())
-
-    def get_session(self, session_id: str) -> ServingSession:
-        return self._sessions[session_id]
-
-    def add_session(
-        self,
-        session: Optional[ServingSession] = None,
-        *,
-        session_id: Optional[str] = None,
-        profile: Optional[ParticipantProfile] = None,
-        **session_kwargs,
-    ) -> ServingSession:
-        """Attach a session (building one from ``profile`` if not given).
-
-        The session's board is started and warmed up immediately, so it is
-        eligible for the very next fleet tick.
-        """
-        if session is None:
-            if session_id is None:
-                taken = set(self._sessions)
-                taken.update(s.session_id for s in self._departed)
-                session_id = next_session_id(taken)
-            session = ServingSession(
-                session_id,
-                profile=profile,
-                config=self.config,
-                clock=self.clock,
-                **session_kwargs,
-            )
-        if session.session_id in self._sessions:
-            raise ValueError(f"session {session.session_id!r} already attached")
-        if (
-            session.config.n_channels != self.config.n_channels
-            or session.config.window_size != self.config.window_size
-        ):
-            raise ValueError(
-                "session window/channel shape does not match the fleet; "
-                "windows from all sessions must stack into one batch"
-            )
+    def _check_session(self, session: Any) -> None:
+        super()._check_session(session)
         if (
             session.config.label_rate_hz != self.config.label_rate_hz
             or session.config.sampling_rate_hz != self.config.sampling_rate_hz
@@ -141,50 +50,6 @@ class FleetServer:
                 "session clock does not match the fleet; all boards advance "
                 "in lock-step simulated time at the fleet's label rate"
             )
-        session.start()
-        self._sessions[session.session_id] = session
-        return session
-
-    def remove_session(self, session_id: str) -> ServingSession:
-        """Detach a session mid-run; its stats remain in the final report."""
-        session = self._sessions.pop(session_id)
-        session.stop()
-        self._departed.append(session)
-        return session
-
-    # ------------------------------------------------------------------ #
-    # scheduling
-    # ------------------------------------------------------------------ #
-    def tick(self) -> Dict[str, InferenceTick]:
-        """Run one fleet tick; returns each served session's new tick."""
-        sessions = list(self._sessions.values())
-        stalled = 0
-        for session in sessions:
-            window = session.prepare_window()
-            if window is None:
-                stalled += 1
-                continue
-            self.batcher.submit(session.session_id, window)
-        result = self.batcher.flush()
-        per_window = result.per_window_latency_s()
-        ticks: Dict[str, InferenceTick] = {}
-        for session_id, probabilities in result.results.items():
-            ticks[session_id] = self._sessions[session_id].apply_result(
-                probabilities, per_window
-            )
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._tick_index,
-                n_sessions=len(sessions),
-                batch_size=len(result),
-                stalled_sessions=stalled,
-                batch_latency_s=result.latency_s,
-                backlog_depth=sum(s.backlog_depth for s in sessions),
-                specialized=result.specialized,
-            )
-        )
-        self._tick_index += 1
-        return ticks
 
     def run(self, duration_s: float) -> FleetReport:
         """Serve the whole fleet for ``duration_s`` of simulated time."""
@@ -194,21 +59,3 @@ class FleetServer:
         for _ in range(n_ticks):
             self.tick()
         return self.report()
-
-    def shutdown(self) -> None:
-        """Stop every attached session's board stream."""
-        for session_id in list(self._sessions):
-            self.remove_session(session_id)
-
-    def report(self) -> FleetReport:
-        """Current fleet summary, covering attached and departed sessions."""
-        everyone = list(self._sessions.values()) + self._departed
-        stats = self.batcher.specialization_stats()
-        return FleetReport(
-            ticks=self._tick_index,
-            fleet=self.telemetry.summary(),
-            sessions=session_stats(everyone),
-            cohorts=self.telemetry.cohort_breakdown(),
-            workers=self.telemetry.worker_breakdown(),
-            specialization={} if stats is None else {"default": stats},
-        )

@@ -84,6 +84,32 @@ class SessionStats:
     dropped_windows: int
 
 
+@dataclass
+class FleetReport:
+    """End-of-run summary: fleet aggregates plus per-session roll-ups.
+
+    ``cohorts`` and ``workers`` break the aggregate down by model cohort
+    (queue wait vs service time) and execution lane (utilisation); they are
+    only populated by flush records that carry those labels — i.e. by the
+    asynchronous scheduler — and stay empty for pure lock-step runs.
+    """
+
+    ticks: int
+    fleet: Dict[str, float]
+    sessions: List[SessionStats] = field(default_factory=list)
+    cohorts: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    workers: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Per-cohort plan-specialisation counters (arena hit rate, held scratch
+    #: bytes); keyed ``"default"`` for a single-cohort fleet.
+    specialization: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    def session(self, session_id: str) -> SessionStats:
+        for stats in self.sessions:
+            if stats.session_id == session_id:
+                return stats
+        raise KeyError(session_id)
+
+
 class FleetTelemetry:
     """Accumulates :class:`FleetTickRecord` objects and aggregates them."""
 

@@ -1,29 +1,29 @@
 """Stream-consumer scheduling: drain cohort logs, flush, publish results.
 
-A :class:`StreamConsumerScheduler` is the scheduler half of the streaming
-data plane.  Where :class:`~repro.serving.scheduler.AsyncFleetScheduler`
-owns sessions and is called *by* them, the stream consumer owns only a
-disjoint set of cohort streams: producers append
-:class:`~repro.streams.messages.WindowSubmission` entries, the consumer
-reads them through a consumer group, micro-batches per cohort, executes on
-any :class:`~repro.serving.executors.FlushExecutor`, appends a
-:class:`~repro.streams.messages.FlushResult` to the result stream and only
-*then* acks the served entries — so a consumer that dies mid-batch never
-loses work (the entries stay pending and another scheduler process claims
-them).
+A :class:`StreamConsumerScheduler` is the stream-plane front end of the
+cohort flush engine (:mod:`repro.serving.engine`), the scheduler half of
+the streaming data plane.  Where
+:class:`~repro.serving.scheduler.AsyncFleetScheduler` owns sessions and is
+called *by* them, the stream consumer owns only a disjoint set of cohort
+streams: producers append :class:`~repro.streams.messages.WindowSubmission`
+entries, the consumer reads them through a consumer group into the
+engine's per-cohort queues, and each finished flush is appended to the
+result stream as a :class:`~repro.streams.messages.FlushResult` and only
+*then* acked — so a consumer that dies mid-batch never loses work (the
+entries stay pending and another scheduler process claims them).
 
 Horizontal scale falls out of the group semantics: run N consumer
 processes, give each a disjoint subset of the cohort streams, and the
 fleet's flush work fans out with no coordination beyond the log itself.
 
-Flush policy mirrors the in-process scheduler: a cohort flushes when its
-batch fills (inline, inside :meth:`poll`) or when the oldest waiting
-window's deadline arrives (:meth:`pump`, scheduled via
-:meth:`next_flush_due_s`).  Deadlines are measured from the stream-entry
-timestamp by default (exact when producer and consumer share a clock —
-the in-process and replay configurations); across processes, where the
-producer's clock cannot cross the socket, ``deadline_origin="read"``
-measures from local read time instead.
+Flush policy, supervision and hot-swap are the engine's, shared with the
+in-process scheduler: a cohort flushes when its batch fills (inline,
+inside :meth:`poll`) or when the oldest waiting window's deadline arrives
+(:meth:`pump`, scheduled via :meth:`next_flush_due_s`).  Deadlines are
+measured from the stream-entry timestamp by default (exact when producer
+and consumer share a clock — the in-process and replay configurations);
+across processes, where the producer's clock cannot cross the socket,
+``deadline_origin="read"`` measures from local read time instead.
 
 The whole consumer is deterministic given the entry sequence, their
 timestamps and the clock — that is the property the record/replay harness
@@ -32,79 +32,35 @@ timestamps and the clock — that is the property the record/replay harness
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
-
-from collections import deque
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.models.base import EEGClassifier
-from repro.serving.batcher import MicroBatcher, PreparedBatch
-from repro.serving.executors import (
-    WORKER_QUARANTINED,
-    WORKER_RESPAWNING,
-    CohortQuarantinedError,
-    FlushExecutor,
-    FlushTicket,
-    SerialExecutor,
-    WorkerDiedError,
-    WorkerRespawnPending,
-)
-from repro.serving.scheduler import (
-    _SERVICE_EWMA_ALPHA,
-    _SERVICE_SAFETY,
+from repro.serving.batcher import BatchResult, ExecutionResult
+from repro.serving.engine import (
+    CohortFlushEngine,
     FlushEvent,
     ModelRouter,
+    QueuedWindow,
     SchedulerConfig,
+    _InFlightFlush,
 )
-from repro.serving.telemetry import FleetTelemetry, FleetTickRecord
+from repro.serving.executors import FlushExecutor
 from repro.streams.messages import FlushResult, WindowSubmission
 from repro.streams.stream import StreamEntry
-from repro.utils.timing import SYSTEM_CLOCK, Clock
+from repro.utils.timing import Clock
 
 #: Default consumer-group name scheduler processes share on cohort streams.
 SCHEDULER_GROUP = "schedulers"
 
-#: Tolerance mirroring the scheduler's: flushing exactly at a deadline is
-#: never a violation.
-_DEADLINE_EPS = 1e-9
+
+def _reported(entries: List[StreamEntry]) -> tuple:
+    """``(session_id, sequence)`` of superseded entries, as FlushResult carries them."""
+    return tuple((e.payload.session_id, e.payload.sequence) for e in entries)
 
 
-@dataclass
-class _PendingWindow:
-    """One delivered-but-unflushed submission held by this consumer."""
-
-    entry_id: int
-    submission: WindowSubmission
-    #: Absolute clock time by which the flush must start.
-    due_s: float
-    #: Clock time the deadline is measured from (entry timestamp or read).
-    origin_s: float
-
-
-@dataclass
-class _InFlightFlush:
-    """Book-keeping for one flush handed to the executor, until harvest."""
-
-    cohort: str
-    reason: str
-    started_at_s: float
-    max_wait_s: float
-    violations: int
-    prepared: PreparedBatch
-    ticket: FlushTicket
-    entry_ids: Tuple[int, ...]
-    sequences: Tuple[int, ...]
-    superseded: Tuple[Tuple[str, int], ...]
-    superseded_ids: Tuple[int, ...]
-    stream_lag_s: float
-    stream_depth: int
-    #: True when the flush ran on the degraded serial fallback lane.
-    degraded: bool = False
-
-
-class StreamConsumerScheduler:
+class StreamConsumerScheduler(CohortFlushEngine):
     """Drains cohort window streams through a consumer group and flushes.
 
     Parameters
@@ -157,63 +113,26 @@ class StreamConsumerScheduler:
                 f"deadline_origin must be 'timestamp' or 'read', "
                 f"got {deadline_origin!r}"
             )
-        self.router = router if isinstance(router, ModelRouter) else ModelRouter(router)
-        self.scheduler_config = scheduler_config or SchedulerConfig()
-        self.clock = clock or SYSTEM_CLOCK
+        if not streams:
+            raise ValueError("StreamConsumerScheduler needs at least one stream")
+        super().__init__(
+            router,
+            cohorts=streams,
+            scheduler_config=scheduler_config,
+            clock=clock,
+            executor=executor,
+        )
+        self._streams: Dict[str, Any] = dict(streams)
+        self.result_stream = result_stream
         self.group = str(group)
         self.consumer = str(consumer)
         self.deadline_origin = deadline_origin
-        self.telemetry = FleetTelemetry()
-        self._streams: Dict[str, Any] = {}
-        for cohort, stream in streams.items():
-            self.router.classifier_for(cohort)  # raises on unroutable cohort
-            self._streams[cohort] = stream
-        if not self._streams:
-            raise ValueError("StreamConsumerScheduler needs at least one stream")
-        self.result_stream = result_stream
-        self.executor: FlushExecutor = executor or SerialExecutor()
-        local_execution = not getattr(self.executor, "remote_execution", False)
-        self._batchers: Dict[str, MicroBatcher] = {
-            cohort: MicroBatcher(
-                self.router.classifier_for(cohort),
-                max_batch_size=self.scheduler_config.max_batch_size,
-                clock=self.clock,
-                specialize=local_execution,
-            )
-            for cohort in self._streams
-        }
-        self.executor.bind(
-            {
-                cohort: self.router.classifier_for(cohort)
-                for cohort in self._streams
-            },
-            clock=self.clock,
-        )
-        self._backlog: Dict[str, Deque[_PendingWindow]] = {
-            cohort: deque() for cohort in self._streams
-        }
-        #: Superseded submissions not yet reported on a FlushResult.
-        self._superseded: Dict[str, List[Tuple[int, str, int]]] = {
+        #: Superseded stream entries not yet reported on a FlushResult.
+        self._superseded: Dict[str, List[StreamEntry]] = {
             cohort: [] for cohort in self._streams
         }
-        self._inflight: Dict[str, _InFlightFlush] = {}
-        #: Per-cohort flush service EWMA (None = no sample yet) — feeds the
-        #: serializing-executor wake pull-forward, exactly as on the
-        #: in-process scheduler.
-        self._service_ewma_s: Dict[str, Optional[float]] = {
-            cohort: None for cohort in self._streams
-        }
         self._seen_sessions: set = set()
-        self._record_index = 0
         self.superseded_count = 0
-        self.worker_deaths = 0
-        self.plan_swaps = 0
-        self._plan_versions: Dict[str, int] = {
-            cohort: 1 for cohort in self._streams
-        }
-        self._degraded: set = set()
-        self._fallbacks: Dict[str, SerialExecutor] = {}
-        self.last_flush_event: Optional[FlushEvent] = None
         for cohort, stream in self._streams.items():
             stream.create_group(self.group, exists_ok=True)
             if claim_pending:
@@ -223,21 +142,13 @@ class StreamConsumerScheduler:
     # ------------------------------------------------------------------ #
     # intake
     # ------------------------------------------------------------------ #
-    @property
-    def cohorts(self) -> Tuple[str, ...]:
-        return tuple(self._streams)
-
     def stream_for(self, cohort: str) -> Any:
         """The cohort's window stream (replay appends through this)."""
         return self._streams[cohort]
 
     def backlog_depth(self) -> int:
         """Windows held locally (delivered, not yet handed to the executor)."""
-        return sum(len(backlog) for backlog in self._backlog.values())
-
-    @property
-    def inflight_cohorts(self) -> Tuple[str, ...]:
-        return tuple(self._inflight)
+        return sum(len(queue) for queue in self._queues.values())
 
     def _admit_entry(self, cohort: str, entry: StreamEntry) -> None:
         submission = entry.payload
@@ -246,36 +157,12 @@ class StreamConsumerScheduler:
                 f"cohort stream {cohort!r} entry {entry.entry_id} carries "
                 f"{type(submission).__name__}, expected WindowSubmission"
             )
-        backlog = self._backlog[cohort]
-        for index, pending in enumerate(backlog):
-            if pending.submission.session_id == submission.session_id:
-                # Real-time semantics: the fresher window supersedes the
-                # stale one, which is acked away and reported on the next
-                # FlushResult so producers keep conservation accounting.
-                stale = backlog[index]
-                del backlog[index]
-                self._superseded[cohort].append(
-                    (
-                        stale.entry_id,
-                        stale.submission.session_id,
-                        stale.submission.sequence,
-                    )
-                )
-                self.superseded_count += 1
-                break
         origin = (
             entry.timestamp_s
             if self.deadline_origin == "timestamp"
             else self.clock.now()
         )
-        backlog.append(
-            _PendingWindow(
-                entry_id=entry.entry_id,
-                submission=submission,
-                due_s=origin + self.scheduler_config.deadline_s,
-                origin_s=origin,
-            )
-        )
+        self._enqueue(cohort, submission.session_id, submission.window, origin, entry)
         self._seen_sessions.add(submission.session_id)
 
     def poll(self, count: Optional[int] = None) -> List[FlushEvent]:
@@ -290,210 +177,9 @@ class StreamConsumerScheduler:
         for cohort, stream in self._streams.items():
             for entry in stream.read_group(self.group, self.consumer, count=count):
                 self._admit_entry(cohort, entry)
-            if (
-                len(self._backlog[cohort]) >= self.scheduler_config.max_batch_size
-                and cohort not in self._inflight
-                and self._cohort_available(cohort)
-            ):
-                flight = self._try_begin_flush(cohort, reason="full")
-                if flight is not None:
-                    events.append(self._complete(cohort))
-        return events
-
-    # ------------------------------------------------------------------ #
-    # supervision / self-healing (mirrors AsyncFleetScheduler)
-    # ------------------------------------------------------------------ #
-    def _supervised(self) -> bool:
-        return hasattr(self.executor, "worker_state")
-
-    def _fallback_for(self, cohort: str) -> SerialExecutor:
-        fallback = self._fallbacks.get(cohort)
-        if fallback is None:
-            fallback = SerialExecutor(label=f"degraded:{cohort}")
-            fallback.bind(
-                {cohort: self.router.classifier_for(cohort)}, clock=self.clock
-            )
-            self._fallbacks[cohort] = fallback
-        return fallback
-
-    def _degrade(self, cohort: str) -> None:
-        if cohort in self._degraded:
-            return
-        self._degraded.add(cohort)
-        self._fallback_for(cohort)
-
-    def _executor_for(self, cohort: str) -> FlushExecutor:
-        if cohort in self._degraded:
-            return self._fallbacks[cohort]
-        return self.executor
-
-    def _cohort_available(self, cohort: str) -> bool:
-        if cohort in self._degraded or not self._supervised():
-            return True
-        state = self.executor.worker_state(cohort)
-        if state == WORKER_QUARANTINED:
-            self._degrade(cohort)
-            return True
-        if state == WORKER_RESPAWNING:
-            retry_at = self.executor.respawn_due_s(cohort)
-            return retry_at is None or self.clock.now() >= retry_at
-        return True
-
-    def _effective_due_s(self, cohort: str, due_s: float) -> float:
-        if cohort in self._degraded or not self._supervised():
-            return due_s
-        if self.executor.worker_state(cohort) == WORKER_RESPAWNING:
-            retry_at = self.executor.respawn_due_s(cohort)
-            if retry_at is not None:
-                return max(due_s, retry_at)
-        return due_s
-
-    def _heal_worker_death(self, cohort: str) -> bool:
-        """Absorb one worker death; ``False`` means the caller must raise.
-
-        The death is always *counted* (the caller increments
-        :attr:`worker_deaths` first); healing additionally emits the
-        ``worker-died`` telemetry record and degrades a quarantined cohort,
-        and is only possible on a supervised executor.  The restored
-        backlog entries stay pending in the consumer group either way, so
-        even an unhealed death loses nothing.
-        """
-        if not self._supervised():
-            return False
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._record_index,
-                n_sessions=len(self._seen_sessions),
-                batch_size=0,
-                stalled_sessions=0,
-                batch_latency_s=0.0,
-                backlog_depth=self.backlog_depth(),
-                flush_reason="worker-died",
-                cohort=cohort,
-                completed_at_s=self.clock.now(),
-                plan_version=self._plan_versions.get(cohort, 0),
-            )
-        )
-        self._record_index += 1
-        if self.executor.worker_state(cohort) == WORKER_QUARANTINED:
-            self._degrade(cohort)
-        return True
-
-    def _try_begin_flush(
-        self, cohort: str, reason: str
-    ) -> Optional[_InFlightFlush]:
-        """Begin a flush, absorbing recoverable executor failures (or None)."""
-        try:
-            return self._begin_flush(cohort, reason)
-        except WorkerDiedError:
-            self.worker_deaths += 1
-            if not self._heal_worker_death(cohort):
-                raise
-            return None
-        except WorkerRespawnPending:
-            return None
-        except CohortQuarantinedError:
-            self._degrade(cohort)
-            return None
-
-    # ------------------------------------------------------------------ #
-    # flush scheduling
-    # ------------------------------------------------------------------ #
-    def service_estimate_s(self, cohort: str) -> Optional[float]:
-        """Current EWMA of the cohort's flush service time (None = no sample)."""
-        return self._service_ewma_s[cohort]
-
-    def _schedule(self) -> Tuple[Optional[float], List[str]]:
-        """Wake time and flush order meeting all deadlines on this executor.
-
-        Mirrors :meth:`AsyncFleetScheduler._schedule`: backlogs are
-        due-ordered by construction (entry ids are monotonic and
-        supersession replaces an old window with a younger one at the
-        tail), so each backlog head is its cohort's oldest deadline.  On a
-        serializing executor cohorts flush one after another, so with dues
-        ``d1 <= d2 <= ...`` and safety-inflated service estimates ``s1,
-        s2, ...`` the consumer must wake at ``min(d1, d2 - s1, d3 - s1 -
-        s2, ...)`` — a later-due cohort flushes early (smaller batch)
-        rather than late behind another cohort's service time.  On a
-        concurrent executor every deadline stands alone.
-        """
-        pending = sorted(
-            (self._effective_due_s(cohort, backlog[0].due_s), cohort)
-            for cohort, backlog in self._backlog.items()
-            if backlog
-        )
-        if not pending:
-            return None, []
-        order = [cohort for _, cohort in pending]
-        if not self.executor.serializes_flushes:
-            return pending[0][0], order
-        wake = float("inf")
-        ahead = 0.0
-        for due, cohort in pending:
-            wake = min(wake, due - ahead)
-            estimate = self._service_ewma_s[cohort]
-            ahead += _SERVICE_SAFETY * (estimate if estimate is not None else 0.0)
-        return wake, order
-
-    def next_flush_due_s(self) -> Optional[float]:
-        """Absolute clock time by which :meth:`pump` must next be called.
-
-        The earliest pending due time, pulled forward — on a serializing
-        executor — by the estimated service time of cohorts due before it
-        (see :meth:`_schedule`).  ``None`` when nothing is held locally.
-        """
-        wake, _ = self._schedule()
-        return wake
-
-    def pump(self, horizon_s: float = 0.0, wait: bool = True) -> List[FlushEvent]:
-        """Flush cohorts whose wake time has arrived, in due order.
-
-        Mirrors :meth:`AsyncFleetScheduler.pump`: a cohort can flush
-        slightly *before* its own deadline when (on a serializing
-        executor) an earlier-due cohort's estimated service time would
-        otherwise push it past — flushing early is always deadline-safe,
-        just a smaller batch.  ``horizon_s`` extends the lookahead,
-        ``wait=False`` returns once due flushes are started, and a cohort
-        with a flush already in flight is never double-flushed — the most
-        urgent one is waited out first.
-        """
-        if horizon_s < 0:
-            raise ValueError("horizon_s must be non-negative")
-        events = self._harvest(block=False)
-        while True:
-            cohort = self._next_full_cohort()
-            reason = "full"
-            if cohort is None:
-                wake, order = self._schedule()
-                if wake is None or self.clock.now() + horizon_s < wake - _DEADLINE_EPS:
-                    break
-                cohort = next(
-                    (
-                        c
-                        for c in order
-                        if c not in self._inflight and self._cohort_available(c)
-                    ),
-                    None,
-                )
-                reason = "deadline"
-                if cohort is None:
-                    busy = next((c for c in order if c in self._inflight), None)
-                    if busy is None:
-                        break  # everything due is waiting out a respawn
-                    events.append(self._complete(busy))
-                    continue
-            flight = self._try_begin_flush(cohort, reason=reason)
-            if flight is None:
-                continue  # healed: the cohort is unavailable until respawn
-            if flight.ticket.done():
-                events.append(self._complete(cohort))
-        if wait:
-            events.extend(self._harvest(block=True))
-            while (cohort := self._next_full_cohort()) is not None:
-                flight = self._try_begin_flush(cohort, reason="full")
-                if flight is None:
-                    break
-                events.append(self._complete(cohort))
+            event = self._flush_if_full(cohort)
+            if event is not None:
+                events.append(event)
         return events
 
     def drain(self) -> List[FlushEvent]:
@@ -502,382 +188,84 @@ class StreamConsumerScheduler:
         Superseded submissions with no flush left to report them ride out
         on an empty ``FlushResult`` so producer-side conservation holds.
         """
-        events = self._harvest(block=True)
-        passes = 0
-        while any(self._backlog.values()):
-            passes += 1
-            if passes > 64:
-                raise RuntimeError(
-                    "drain() did not converge: workers keep dying faster "
-                    "than the fallback can serve"
-                )
-            for cohort in [c for c, b in self._backlog.items() if b]:
-                if not self._backlog[cohort]:
-                    continue
-                if self._cohort_available(cohort):
-                    flight = self._try_begin_flush(cohort, reason="drain")
-                    if flight is not None:
-                        events.append(self._complete(cohort))
-                        continue
-                if self._backlog[cohort]:
-                    # Serve a mid-respawn cohort on the inline fallback
-                    # without degrading it permanently.
-                    self._begin_flush(
-                        cohort, reason="drain", executor=self._fallback_for(cohort)
-                    )
-                    events.append(self._complete(cohort))
+        events = super().drain()
         for cohort, leftovers in self._superseded.items():
             if leftovers:
-                self._publish_empty(cohort, leftovers)
                 self._superseded[cohort] = []
-        return events
-
-    def _next_full_cohort(self) -> Optional[str]:
-        for cohort, backlog in self._backlog.items():
-            if (
-                len(backlog) >= self.scheduler_config.max_batch_size
-                and cohort not in self._inflight
-                and self._cohort_available(cohort)
-            ):
-                return cohort
-        return None
-
-    def _harvest(self, block: bool) -> List[FlushEvent]:
-        events = []
-        for cohort in list(self._inflight):
-            if block or self._inflight[cohort].ticket.done():
-                events.append(self._complete(cohort))
-        return events
-
-    # ------------------------------------------------------------------ #
-    # flush mechanics
-    # ------------------------------------------------------------------ #
-    def _begin_flush(
-        self,
-        cohort: str,
-        reason: str,
-        executor: Optional[FlushExecutor] = None,
-    ) -> _InFlightFlush:
-        if cohort in self._inflight:
-            raise RuntimeError(
-                f"cohort {cohort!r} already has a flush in flight; "
-                "double-flushes are refused"
-            )
-        if executor is None:
-            executor = self._executor_for(cohort)
-        backlog = self._backlog[cohort]
-        if not backlog:
-            raise RuntimeError(f"internal: flush of empty cohort backlog {cohort!r}")
-        taken = list(backlog)
-        backlog.clear()
-        stream = self._streams[cohort]
-        stream_lag_s = float(stream.lag_s(self.group))
-        stream_depth = int(stream.depth(self.group))
-        started_at = self.clock.now()
-        waits = [started_at - item.origin_s for item in taken]
-        violations = sum(
-            1 for item in taken if started_at > item.due_s + _DEADLINE_EPS
-        )
-        batcher = self._batchers[cohort]
-        for item in taken:
-            batcher.submit(item.submission.session_id, item.submission.window)
-        prepared = batcher.prepare()
-        assert prepared is not None
-        superseded = self._superseded[cohort]
-        self._superseded[cohort] = []
-        try:
-            ticket = executor.submit_flush(cohort, prepared)
-        except Exception:
-            # The executor refused the batch: restore the backlog and the
-            # unreported supersessions so nothing is lost; the entries also
-            # remain un-acked in the group, so even a crash here is safe.
-            self._backlog[cohort].extendleft(reversed(taken))
-            self._superseded[cohort] = superseded + self._superseded[cohort]
-            raise
-        flight = _InFlightFlush(
-            cohort=cohort,
-            reason=reason,
-            started_at_s=started_at,
-            max_wait_s=max(waits, default=0.0),
-            violations=violations,
-            prepared=prepared,
-            ticket=ticket,
-            entry_ids=tuple(item.entry_id for item in taken),
-            sequences=tuple(item.submission.sequence for item in taken),
-            superseded=tuple((sid, seq) for _, sid, seq in superseded),
-            superseded_ids=tuple(entry_id for entry_id, _, _ in superseded),
-            stream_lag_s=stream_lag_s,
-            stream_depth=stream_depth,
-            degraded=executor is not self.executor,
-        )
-        self._inflight[cohort] = flight
-        return flight
-
-    def _complete(self, cohort: str) -> FlushEvent:
-        flight = self._inflight[cohort]
-        try:
-            execution = flight.ticket.result()
-        except WorkerDiedError:
-            # The lane is gone but no work is lost: put the windows back at
-            # the head of the local backlog (they are still pending in the
-            # group, so even if *this* consumer dies next, another claims
-            # them) and surface the typed error to the driver.
-            del self._inflight[cohort]
-            self.worker_deaths += 1
-            deadline = self.scheduler_config.deadline_s
-            restored = [
-                _PendingWindow(
-                    entry_id=entry_id,
-                    submission=WindowSubmission(
-                        session_id=session_id,
+                self.result_stream.append(
+                    FlushResult(
                         cohort=cohort,
-                        window=flight.prepared.windows[index],
-                        submitted_at_s=flight.started_at_s,
-                        sequence=flight.sequences[index],
-                    ),
-                    due_s=flight.started_at_s + deadline,
-                    origin_s=flight.started_at_s,
-                )
-                for index, (entry_id, session_id) in enumerate(
-                    zip(flight.entry_ids, flight.prepared.session_ids)
-                )
-            ]
-            self._backlog[cohort].extendleft(reversed(restored))
-            self._superseded[cohort] = (
-                list(
-                    zip(
-                        flight.superseded_ids,
-                        (sid for sid, _ in flight.superseded),
-                        (seq for _, seq in flight.superseded),
+                        entry_ids=(),
+                        session_ids=(),
+                        sequences=(),
+                        probabilities=np.zeros((0, 0)),
+                        flushed_at_s=self.clock.now(),
+                        service_s=0.0,
+                        worker="",
+                        reason="drain",
+                        consumer=self.consumer,
+                        superseded=_reported(leftovers),
                     )
                 )
-                + self._superseded[cohort]
-            )
-            # On a supervised executor the death is absorbed: the
-            # supervisor respawns the lane and a synthetic event marks the
-            # spot; unsupervised executors raise exactly as before.
-            if not self._heal_worker_death(cohort):
-                raise
-            event = FlushEvent(
-                cohort=cohort,
-                reason="worker-died",
-                flushed_at_s=flight.started_at_s,
-            )
-            self.last_flush_event = event
-            return event
-        del self._inflight[cohort]
-        result = self._batchers[cohort].finalize(flight.prepared, execution)
-        completed_at = self.clock.now()
-        # Service EWMA: execute-only time, so wake-time estimates are not
-        # polluted by executor queueing.  None means "no sample yet" — a
-        # genuine 0.0 sample must seed the estimate, not reset it.
-        previous = self._service_ewma_s[cohort]
-        self._service_ewma_s[cohort] = (
-            execution.service_s
-            if previous is None
-            else _SERVICE_EWMA_ALPHA * execution.service_s
-            + (1.0 - _SERVICE_EWMA_ALPHA) * previous
-        )
-        probabilities = np.stack(
-            [result.results[sid] for sid in flight.prepared.session_ids]
-        )
+                self._streams[cohort].ack(
+                    self.group, *(entry.entry_id for entry in leftovers)
+                )
+        return events
+
+    # ------------------------------------------------------------------ #
+    # engine hooks
+    # ------------------------------------------------------------------ #
+    def _on_superseded(self, cohort: str, stale: QueuedWindow) -> None:
+        # Real-time semantics: the fresher window wins; the stale entry is
+        # reported on the next FlushResult (and acked with it) so producers
+        # keep conservation accounting.
+        self._superseded[cohort].append(stale.source)
+        self.superseded_count += 1
+
+    def _flight_context(self, cohort: str) -> Any:
+        stream = self._streams[cohort]
+        return float(stream.lag_s(self.group)), int(stream.depth(self.group))
+
+    def _record_fields(self, context: Any) -> Dict[str, Any]:
+        fields = {
+            "n_sessions": len(self._seen_sessions),
+            "stalled_sessions": 0,
+            "backlog_depth": self.backlog_depth(),
+        }
+        if context is not None:
+            fields["stream_lag_s"], fields["stream_depth"] = context
+        return fields
+
+    def _deliver(
+        self, flight: _InFlightFlush, result: BatchResult, execution: ExecutionResult
+    ) -> Dict[str, Any]:
+        cohort = flight.cohort
+        entries = [item.source for item in flight.items]
+        superseded, self._superseded[cohort] = self._superseded[cohort], []
+        session_ids = flight.prepared.session_ids
+        stream_lag_s, stream_depth = flight.context
         self.result_stream.append(
             FlushResult(
                 cohort=cohort,
-                entry_ids=flight.entry_ids,
-                session_ids=tuple(flight.prepared.session_ids),
-                sequences=flight.sequences,
-                probabilities=probabilities,
+                entry_ids=tuple(entry.entry_id for entry in entries),
+                session_ids=tuple(session_ids),
+                sequences=tuple(entry.payload.sequence for entry in entries),
+                probabilities=np.stack([result.results[sid] for sid in session_ids]),
                 flushed_at_s=flight.started_at_s,
                 service_s=execution.service_s,
                 worker=execution.worker,
                 reason=flight.reason,
                 consumer=self.consumer,
-                stream_lag_s=flight.stream_lag_s,
-                stream_depth=flight.stream_depth,
+                stream_lag_s=stream_lag_s,
+                stream_depth=stream_depth,
                 deadline_violations=flight.violations,
                 max_queue_wait_s=flight.max_wait_s,
-                superseded=flight.superseded,
+                superseded=_reported(superseded),
             )
         )
         # Ack only after the result is durably on the result stream: dying
         # between flush and ack redelivers (at-least-once), never loses.
         self._streams[cohort].ack(
-            self.group, *(flight.entry_ids + flight.superseded_ids)
+            self.group, *(entry.entry_id for entry in entries + superseded)
         )
-        executor_wait = max(
-            0.0, (completed_at - flight.started_at_s) - execution.service_s
-        )
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._record_index,
-                n_sessions=len(self._seen_sessions),
-                batch_size=len(result),
-                stalled_sessions=0,
-                batch_latency_s=result.latency_s,
-                backlog_depth=self.backlog_depth(),
-                deadline_violations=flight.violations,
-                max_queue_wait_s=flight.max_wait_s,
-                flush_reason=flight.reason,
-                cohort=cohort,
-                worker=execution.worker,
-                executor_wait_s=executor_wait,
-                completed_at_s=completed_at,
-                specialized=execution.specialized,
-                stream_lag_s=flight.stream_lag_s,
-                stream_depth=flight.stream_depth,
-                plan_version=execution.plan_version
-                or self._plan_versions.get(cohort, 0),
-                degraded=flight.degraded,
-            )
-        )
-        self._record_index += 1
-        event = FlushEvent(
-            cohort=cohort,
-            reason=flight.reason,
-            flushed_at_s=flight.started_at_s,
-            ticks={},
-            batch_size=len(result),
-            latency_s=result.latency_s,
-            max_queue_wait_s=flight.max_wait_s,
-            deadline_violations=flight.violations,
-            worker=execution.worker,
-            executor_wait_s=executor_wait,
-        )
-        self.last_flush_event = event
-        return event
-
-    def _flush(self, cohort: str, reason: str) -> FlushEvent:
-        self._begin_flush(cohort, reason)
-        return self._complete(cohort)
-
-    def _publish_empty(
-        self, cohort: str, superseded: List[Tuple[int, str, int]]
-    ) -> None:
-        """Report supersessions that no regular flush is left to carry."""
-        self.result_stream.append(
-            FlushResult(
-                cohort=cohort,
-                entry_ids=(),
-                session_ids=(),
-                sequences=(),
-                probabilities=np.zeros((0, 0)),
-                flushed_at_s=self.clock.now(),
-                service_s=0.0,
-                worker="",
-                reason="drain",
-                consumer=self.consumer,
-                superseded=tuple((sid, seq) for _, sid, seq in superseded),
-            )
-        )
-        self._streams[cohort].ack(
-            self.group, *(entry_id for entry_id, _, _ in superseded)
-        )
-
-    # ------------------------------------------------------------------ #
-    # plan hot-swap / fleet health (mirrors AsyncFleetScheduler)
-    # ------------------------------------------------------------------ #
-    def swap_plan(
-        self,
-        cohort: str,
-        payload: Optional[bytes] = None,
-        classifier: Optional[EEGClassifier] = None,
-    ) -> int:
-        """Swap a cohort's serving plan under traffic; returns the new version.
-
-        Pass exactly one of ``payload`` (``.npz`` transport bytes) or
-        ``classifier``.  Any in-flight flush for the cohort is harvested
-        first, so no flush straddles the swap.  This is also the handler
-        for :class:`~repro.streams.messages.PlanSwap` control-stream
-        entries (see :func:`repro.streams.remote.stream_consumer_worker`).
-        """
-        if (payload is None) == (classifier is None):
-            raise ValueError("pass exactly one of payload= or classifier=")
-        if cohort in self._inflight:
-            self._complete(cohort)
-        executor = self.executor
-        remote_swap = getattr(executor, "remote_execution", False) and hasattr(
-            executor, "swap_plan"
-        )
-        if classifier is not None:
-            local = classifier
-        else:
-            from repro.models.compiled import CompiledClassifier
-
-            local = CompiledClassifier.from_payload(payload)
-        if remote_swap:
-            version = executor.swap_plan(
-                cohort, payload if payload is not None else classifier
-            )
-        else:
-            version = self._plan_versions.get(cohort, 0) + 1
-            swap = getattr(executor, "swap_classifier", None)
-            if swap is not None:
-                swap(cohort, local)
-        self.router.replace(cohort, local)
-        self._batchers[cohort].swap_classifier(local)
-        if cohort in self._fallbacks:
-            self._fallbacks[cohort].swap_classifier(cohort, local)
-        self._plan_versions[cohort] = version
-        self.plan_swaps += 1
-        return version
-
-    def plan_version(self, cohort: str) -> int:
-        """Current plan version of a cohort (1 until the first swap)."""
-        return self._plan_versions.get(cohort, 0)
-
-    def fleet_health(self) -> Dict[str, Dict[str, Any]]:
-        """Per-cohort supervision snapshot: state, plan version, restarts."""
-        health: Dict[str, Dict[str, Any]] = {}
-        supervised = self._supervised()
-        for cohort in self._streams:
-            if cohort in self._degraded:
-                state = "degraded"
-            elif supervised:
-                state = self.executor.worker_state(cohort)
-            else:
-                state = "running"
-            restarts = 0
-            if supervised and hasattr(self.executor, "restart_count"):
-                restarts = self.executor.restart_count(cohort)
-            health[cohort] = {
-                "state": state,
-                "plan_version": self._plan_versions.get(cohort, 0),
-                "restarts": restarts,
-                "queued": len(self._backlog[cohort]),
-            }
-        return health
-
-    # ------------------------------------------------------------------ #
-    # reporting / lifecycle
-    # ------------------------------------------------------------------ #
-    def report(self) -> "FleetReport":
-        """Flush-side fleet summary (sessions live producer-side, so none).
-
-        This is the object the replay determinism contract compares: two
-        consumers fed the same entry sequence under the same virtual clock
-        produce equal reports, field for field.
-        """
-        from repro.serving.server import FleetReport
-
-        return FleetReport(
-            ticks=self._record_index,
-            fleet=self.telemetry.summary(),
-            sessions=[],
-            cohorts=self.telemetry.cohort_breakdown(),
-            workers=self.telemetry.worker_breakdown(),
-            specialization={
-                cohort: stats
-                for cohort, batcher in self._batchers.items()
-                if (stats := batcher.specialization_stats()) is not None
-            },
-        )
-
-    def shutdown(self) -> None:
-        """Drain local work, then stop the executor (and any fallbacks)."""
-        self.drain()
-        self.executor.shutdown()
-        for fallback in self._fallbacks.values():
-            fallback.shutdown()
-        self._fallbacks = {}
-        self._degraded = set()
+        return {}

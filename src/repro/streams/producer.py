@@ -36,9 +36,13 @@ from repro.serving.scheduler import (
     AdmissionController,
     SchedulerConfig,
 )
-from repro.serving.server import FleetReport
 from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import FleetTelemetry, FleetTickRecord, session_stats
+from repro.serving.telemetry import (
+    FleetReport,
+    FleetTelemetry,
+    FleetTickRecord,
+    session_stats,
+)
 from repro.signals.synthetic import ParticipantProfile
 from repro.streams.consumer import SCHEDULER_GROUP
 from repro.streams.messages import FlushResult, WindowSubmission

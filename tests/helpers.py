@@ -135,6 +135,67 @@ class ClockedStubClassifier(EEGClassifier):
         return 0
 
 
+class DyingExecutor:
+    """Unsupervised flush executor whose next flush dies with its worker.
+
+    While ``fail_next`` is set, each flush's ticket raises
+    :class:`~repro.serving.executors.WorkerDiedError` from ``result()``;
+    otherwise flushes execute inline.  With ``hold=True`` a dying ticket
+    stays not-done until :meth:`release` — a worker that dies mid-flush
+    while the driver keeps polling.
+    """
+
+    serializes_flushes = False
+    remote_execution = False
+
+    class _DyingTicket:
+        def __init__(self, cohort, held):
+            self.cohort = cohort
+            self.held = held
+
+        def done(self):
+            return not self.held
+
+        def result(self, timeout=None):
+            from repro.serving.executors import WorkerDiedError
+
+            raise WorkerDiedError(self.cohort, pending=(self,), detail="test kill")
+
+    def __init__(self, hold=False):
+        self.fail_next = True
+        self.hold = hold
+        self.tickets = []
+
+    def bind(self, classifiers, clock):
+        self._classifiers = dict(classifiers)
+        self._clock = clock
+
+    def submit_flush(self, cohort, prepared):
+        from repro.serving.batcher import execute_windows
+        from repro.serving.executors import CompletedTicket
+
+        if self.fail_next:
+            ticket = self._DyingTicket(cohort, held=self.hold)
+            self.tickets.append(ticket)
+            return ticket
+        return CompletedTicket(
+            execute_windows(
+                self._classifiers[cohort],
+                prepared.windows,
+                prepared.chunk_size,
+                clock=self._clock,
+            )
+        )
+
+    def release(self):
+        """Let every held dying ticket complete (and raise)."""
+        for ticket in self.tickets:
+            ticket.held = False
+
+    def shutdown(self):
+        pass
+
+
 class ScriptedSession:
     """Board-free stand-in for ``ServingSession`` (same two-phase protocol).
 

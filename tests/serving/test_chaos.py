@@ -461,14 +461,3 @@ class TestHotSwap:
         assert record.plan_version == 2  # respawn image was the new plan
         assert executor.acked_plan_version("default") == 2
         scheduler.shutdown()
-
-    def test_swap_requires_exactly_one_plan_source(self):
-        clock = FakeClock()
-        scheduler = self._fleet(clock)
-        with pytest.raises(ValueError, match="exactly one"):
-            scheduler.swap_plan("default")
-        with pytest.raises(ValueError, match="exactly one"):
-            scheduler.swap_plan(
-                "default", payload=b"x", classifier=ClockedStubClassifier()
-            )
-        scheduler.shutdown()

@@ -21,9 +21,15 @@ from repro.serving.scheduler import (
     SchedulerConfig,
 )
 from repro.serving.server import FleetServer
-from repro.signals.synthetic import ACTION_LEFT, ACTION_RIGHT, ParticipantProfile
+from repro.signals.synthetic import (
+    ACTION_IDLE,
+    ACTION_LEFT,
+    ACTION_RIGHT,
+    ParticipantProfile,
+)
 from tests.helpers import (
     ClockedStubClassifier,
+    DyingExecutor,
     FakeClock,
     ScriptedSession,
     SimulatedLoad,
@@ -190,45 +196,6 @@ class TestDeadlineFlush:
         assert scheduler.pump() == []
         assert scheduler.next_flush_due_s() is not None
 
-    def test_pump_at_deadline_flushes_without_violation(self):
-        clock = FakeClock()
-        scheduler = make_scheduler(clock)
-        scheduler.submit("s0")
-        clock.advance(0.005)
-        scheduler.submit("s1")  # younger window rides along with the oldest
-        clock.advance_to(scheduler.next_flush_due_s())
-        (event,) = scheduler.pump()
-        assert event.reason == "deadline"
-        assert event.batch_size == 2
-        assert event.deadline_violations == 0
-        assert event.max_queue_wait_s == pytest.approx(DEADLINE_S)
-        assert scheduler.next_flush_due_s() is None
-
-    def test_late_pump_counts_violations(self):
-        clock = FakeClock()
-        scheduler = make_scheduler(clock)
-        scheduler.submit("s0")
-        clock.advance(DEADLINE_S * 2)  # a sloppy driver overslept
-        (event,) = scheduler.pump()
-        assert event.deadline_violations == 1
-        assert scheduler.telemetry.total_deadline_violations == 1
-
-    def test_full_batch_flushes_inline(self):
-        clock = FakeClock()
-        config = SchedulerConfig(deadline_s=DEADLINE_S, max_batch_size=3)
-        scheduler = make_scheduler(clock, n_sessions=3, scheduler_config=config)
-        assert scheduler.submit("s0") == SUBMIT_QUEUED
-        assert scheduler.submit("s1") == SUBMIT_QUEUED
-        assert scheduler.submit("s2") == SUBMIT_FLUSHED
-        record = scheduler.telemetry.records[-1]
-        assert record.flush_reason == "full"
-        assert record.batch_size == 3
-        assert scheduler.next_flush_due_s() is None
-        # The inline flush is observable through last_flush_event.
-        event = scheduler.last_flush_event
-        assert event.reason == "full"
-        assert set(event.ticks) == {"s0", "s1", "s2"}
-
     def test_stalled_submission_is_counted_not_queued(self):
         clock = FakeClock()
         scheduler = make_scheduler(clock, n_sessions=1, stall_every=1)
@@ -241,15 +208,6 @@ class TestDeadlineFlush:
         assert record.batch_size == 0
         assert record.stalled_sessions == 1
         assert scheduler.telemetry.latency_percentiles()["p50"] == 0.0
-
-    def test_drain_flushes_ahead_of_deadline(self):
-        clock = FakeClock()
-        scheduler = make_scheduler(clock)
-        scheduler.submit("s0")
-        (event,) = scheduler.drain()
-        assert event.reason == "drain"
-        assert event.deadline_violations == 0
-        assert scheduler.next_flush_due_s() is None
 
     def test_lockstep_tick_refuses_to_interleave_with_queued_submits(self):
         clock = FakeClock()
@@ -486,6 +444,42 @@ class TestLockStepEquivalence:
         assert scheduler_report.sessions == server_report.sessions
 
 
+
+class TestNonFiniteProbabilities:
+    """A NaN probability row fails safe to idle and never reaches the arm."""
+
+    def test_nan_row_idles_its_session_and_spares_its_neighbours(
+        self, serving_config
+    ):
+        class NaNRowClassifier(ClockedStubClassifier):
+            def predict_proba(self, windows):
+                probabilities = super().predict_proba(windows)
+                probabilities[1] = np.nan
+                return probabilities
+
+        scheduler = AsyncFleetScheduler(
+            NaNRowClassifier(peak_class=1), serving_config, clock=FakeClock()
+        )
+        sessions = [
+            scheduler.add_session(
+                profile=ParticipantProfile(participant_id=f"N{seed}", seed=seed)
+            )
+            for seed in range(3)
+        ]
+        before = [s.controller.joint_state() for s in sessions]
+        ticks = scheduler.tick()
+        poisoned = sessions[1]
+        tick = ticks[poisoned.session_id]
+        assert tick.action == tick.smoothed_action == ACTION_IDLE
+        assert tick.confidence == 0.0
+        assert poisoned.controller.action_log == []
+        assert poisoned.controller.joint_state() == before[1]
+        for index in (0, 2):
+            neighbour = sessions[index]
+            assert ticks[neighbour.session_id].action == ACTION_RIGHT
+            assert neighbour.controller.action_log
+            assert neighbour.controller.joint_state() != before[index]
+
 class TestEmptyFlushLatencySkew:
     """Satellite fix: all-stalled ticks must not drag p50 toward zero."""
 
@@ -546,48 +540,6 @@ class TestWorkerDeathRequeue:
     """Satellite: a dead shard worker requeues its flush instead of
     poisoning the cohort."""
 
-    @staticmethod
-    def _dying_executor():
-        from repro.serving.batcher import execute_windows
-        from repro.serving.executors import CompletedTicket, WorkerDiedError
-
-        class DyingTicket:
-            def done(self):
-                return True
-
-            def result(self, timeout=None):
-                raise WorkerDiedError(
-                    "default", pending=(self,), detail="test kill"
-                )
-
-        class DyingExecutor:
-            serializes_flushes = False
-            remote_execution = False
-
-            def __init__(self):
-                self.fail_next = True
-
-            def bind(self, classifiers, clock):
-                self._classifiers = dict(classifiers)
-                self._clock = clock
-
-            def submit_flush(self, cohort, prepared):
-                if self.fail_next:
-                    return DyingTicket()
-                return CompletedTicket(
-                    execute_windows(
-                        self._classifiers[cohort],
-                        prepared.windows,
-                        prepared.chunk_size,
-                        clock=self._clock,
-                    )
-                )
-
-            def shutdown(self):
-                pass
-
-        return DyingExecutor()
-
     def test_error_carries_cohort_and_pending_tickets(self):
         from repro.serving.executors import WorkerDiedError
 
@@ -600,7 +552,7 @@ class TestWorkerDeathRequeue:
 
     def test_dead_worker_flush_requeues_and_recovers(self):
         clock = FakeClock()
-        executor = self._dying_executor()
+        executor = DyingExecutor()
         classifier = ClockedStubClassifier(clock)
         scheduler = AsyncFleetScheduler(
             classifier,
@@ -617,6 +569,8 @@ class TestWorkerDeathRequeue:
 
         with pytest.raises(WorkerDiedError):
             scheduler.pump()
+        # Every observed death is counted, healed or not.
+        assert scheduler.worker_deaths == 1
         # Nothing was lost: the windows are queued again with deadlines
         # re-derived from the failed flush's start.
         due = scheduler.next_flush_due_s()
@@ -630,7 +584,7 @@ class TestWorkerDeathRequeue:
 
     def test_requeue_respects_fresher_windows_and_departures(self):
         clock = FakeClock()
-        executor = self._dying_executor()
+        executor = DyingExecutor()
         scheduler = AsyncFleetScheduler(
             ClockedStubClassifier(clock),
             scheduler_config=SchedulerConfig(deadline_s=DEADLINE_S),

@@ -4,13 +4,12 @@ crash recovery via pending/claim, and worker-death requeue."""
 import numpy as np
 import pytest
 
-from tests.helpers import ClockedStubClassifier, FakeClock
+from tests.helpers import ClockedStubClassifier, DyingExecutor, FakeClock
 
-from repro.serving.executors import CompletedTicket, WorkerDiedError
+from repro.serving.executors import WorkerDiedError
 from repro.serving.scheduler import SchedulerConfig
 from repro.streams import (
     SCHEDULER_GROUP,
-    FlushResult,
     StreamConsumerScheduler,
     StreamTopology,
     WindowSubmission,
@@ -68,44 +67,6 @@ class TestDraining:
         # entry is pending (delivered, unacked) until its flush completes
         assert len(stream.pending(SCHEDULER_GROUP)) == 1
 
-    def test_full_batch_flushes_inline_on_poll(self, topology, clock):
-        consumer = make_consumer(topology, clock, max_batch_size=2)
-        stream = topology.cohort_stream("a")
-        stream.append(submission("s0", "a", clock, 0))
-        stream.append(submission("s1", "a", clock, 0))
-        events = consumer.poll()
-        assert len(events) == 1
-        assert events[0].reason == "full"
-        assert events[0].batch_size == 2
-        (result,) = harvest_results(topology)
-        assert isinstance(result, FlushResult)
-        assert result.session_ids == ("s0", "s1")
-        assert result.entry_ids == (1, 2)
-        assert result.probabilities.shape == (2, 3)
-        # flush acked the served entries
-        assert stream.pending(SCHEDULER_GROUP) == []
-
-    def test_pump_flushes_at_the_deadline(self, topology, clock):
-        consumer = make_consumer(topology, clock)
-        topology.cohort_stream("a").append(submission("s0", "a", clock))
-        consumer.poll()
-        due = consumer.next_flush_due_s()
-        assert due == pytest.approx(0.05)
-        assert consumer.pump() == []  # not due yet
-        clock.advance_to(due)
-        (event,) = consumer.pump()
-        assert event.reason == "deadline"
-        assert event.deadline_violations == 0
-
-    def test_late_pump_counts_violations(self, topology, clock):
-        consumer = make_consumer(topology, clock)
-        topology.cohort_stream("a").append(submission("s0", "a", clock))
-        consumer.poll()
-        clock.advance(1.0)  # way past the 0.05s deadline
-        (event,) = consumer.pump()
-        assert event.deadline_violations == 1
-        assert event.max_queue_wait_s == pytest.approx(1.0)
-
     def test_results_carry_stream_lag_and_depth(self, topology, clock):
         consumer = make_consumer(topology, clock)
         stream = topology.cohort_stream("a")
@@ -120,15 +81,6 @@ class TestDraining:
         (record,) = consumer.telemetry.records
         assert record.stream_lag_s == pytest.approx(0.06)
         assert record.stream_depth == 1
-
-    def test_drain_flushes_everything_before_deadlines(self, topology, clock):
-        consumer = make_consumer(topology, clock, cohorts=("a", "b"))
-        topology.cohort_stream("a").append(submission("s0", "a", clock))
-        topology.cohort_stream("b").append(submission("s1", "b", clock))
-        consumer.poll()
-        events = consumer.drain()
-        assert sorted(e.cohort for e in events) == ["a", "b"]
-        assert all(e.reason == "drain" for e in events)
 
     def test_wrong_payload_type_is_rejected(self, topology, clock):
         consumer = make_consumer(topology, clock)
@@ -232,42 +184,6 @@ class TestCrashRecovery:
     def test_worker_death_restores_backlog_and_keeps_entries_pending(
         self, topology, clock
     ):
-        class DyingTicket:
-            def done(self):
-                return True
-
-            def result(self, timeout=None):
-                raise WorkerDiedError("a", detail="test kill")
-
-        class DyingExecutor:
-            serializes_flushes = False
-            remote_execution = False
-
-            def __init__(self):
-                self.fail_next = True
-
-            def bind(self, classifiers, clock):
-                from repro.serving.batcher import execute_windows
-
-                self._classifiers = dict(classifiers)
-                self._clock = clock
-                self._execute = execute_windows
-
-            def submit_flush(self, cohort, prepared):
-                if self.fail_next:
-                    return DyingTicket()
-                return CompletedTicket(
-                    self._execute(
-                        self._classifiers[cohort],
-                        prepared.windows,
-                        prepared.chunk_size,
-                        clock=self._clock,
-                    )
-                )
-
-            def shutdown(self):
-                pass
-
         executor = DyingExecutor()
         consumer = make_consumer(topology, clock, executor=executor)
         stream = topology.cohort_stream("a")
@@ -292,6 +208,43 @@ class TestCrashRecovery:
         assert event.batch_size == 2
         assert stream.pending(SCHEDULER_GROUP) == []
 
+    def test_death_with_a_fresher_window_queued_supersedes_the_stale_one(
+        self, topology, clock
+    ):
+        # s0's window is in flight when its fresher window is polled; the
+        # flush then dies.  The requeue must keep only the fresher window
+        # (the stale one is reported superseded and acked), or the next
+        # flush would stack two s0 windows into one batch.
+        executor = DyingExecutor(hold=True)
+        consumer = make_consumer(topology, clock, executor=executor)
+        stream = topology.cohort_stream("a")
+        stream.append(submission("s0", "a", clock, 0))
+        stream.append(submission("s1", "a", clock, 0))
+        consumer.poll()
+        clock.advance(0.05)
+        assert consumer.pump(wait=False) == []
+        assert consumer.inflight_cohorts == ("a",)
+        stream.append(submission("s0", "a", clock, 1))
+        consumer.poll()
+        executor.release()
+        with pytest.raises(WorkerDiedError):
+            consumer.pump()
+        assert consumer.worker_deaths == 1
+        executor.fail_next = False
+        clock.advance_to(consumer.next_flush_due_s())
+        (event,) = consumer.pump()
+        assert event.batch_size == 2
+        assert consumer.superseded_count == 1
+        (result,) = harvest_results(topology)
+        assert sorted(zip(result.session_ids, result.sequences)) == [
+            ("s0", 1),
+            ("s1", 0),
+        ]
+        assert result.superseded == (("s0", 0),)
+        assert stream.pending(SCHEDULER_GROUP) == []
+        assert consumer.backlog_depth() == 0
+        # The batcher holds nothing, so a hot swap is accepted.
+        assert consumer.swap_plan("a", classifier=ClockedStubClassifier(clock)) == 2
 
 class TestCompetingConsumers:
     def test_same_group_consumers_split_one_stream_disjointly(self, topology, clock):
@@ -336,34 +289,6 @@ class TestSupervisedHealing:
         )
         return make_consumer(topology, clock, executor=executor, **cfg), executor
 
-    def test_worker_death_is_healed_not_raised(self, topology, clock):
-        consumer, executor = self._supervised(topology, clock)
-        stream = topology.cohort_stream("a")
-        stream.append(submission("s0", "a", clock, 0))
-        stream.append(submission("s1", "a", clock, 0))
-        consumer.poll()
-        executor.inject_kill("a", phase="idle")
-        clock.advance(0.05)
-        # No raise: the idle death is discovered at submit and absorbed
-        # (no flush started, so no FlushEvent — telemetry carries the mark).
-        assert consumer.pump() == []
-        assert consumer.worker_deaths == 1
-        assert consumer.backlog_depth() == 2
-        assert len(stream.pending(SCHEDULER_GROUP)) == 2
-        died = [
-            r
-            for r in consumer.telemetry.records
-            if r.flush_reason == "worker-died"
-        ]
-        assert len(died) == 1
-        # Once the respawn backoff elapses the requeued windows are served.
-        clock.advance(0.05)
-        (event,) = consumer.pump()
-        assert event.batch_size == 2
-        assert stream.pending(SCHEDULER_GROUP) == []
-        (result,) = harvest_results(topology)
-        assert result.session_ids == ("s0", "s1")
-
     def test_hot_swap_versions_flushes_on_the_result_path(self, topology, clock):
         consumer, executor = self._supervised(topology, clock)
         stream = topology.cohort_stream("a")
@@ -387,8 +312,3 @@ class TestSupervisedHealing:
         assert consumer.plan_swaps == 1
         health = consumer.fleet_health()
         assert health["a"]["plan_version"] == 2
-
-    def test_swap_requires_exactly_one_plan_source(self, topology, clock):
-        consumer, _ = self._supervised(topology, clock)
-        with pytest.raises(ValueError, match="exactly one"):
-            consumer.swap_plan("a")
