@@ -419,6 +419,7 @@ class AsyncFleetScheduler(CohortFlushEngine):
         shed = self._shed_since_flush
         self._stalled_since_flush = 0
         self._shed_since_flush = 0
+        prepare_started = self.clock.now()
         for session in sessions:
             window = session.prepare_window()
             if window is None:
@@ -431,6 +432,7 @@ class AsyncFleetScheduler(CohortFlushEngine):
             self._batchers[self._session_cohort[session.session_id]].submit(
                 session.session_id, window
             )
+        prepare_latency_s = self.clock.now() - prepare_started
         ticks: Dict[str, Any] = {}
         batch_size = 0
         latency_s = 0.0
@@ -461,6 +463,7 @@ class AsyncFleetScheduler(CohortFlushEngine):
                 ),
                 shed_sessions=shed,
                 flush_reason="tick",
+                prepare_latency_s=prepare_latency_s,
                 # The record's contract is "every classifier call hit an
                 # arena": all non-empty cohort flushes must agree.
                 specialized=bool(specialized_flags) and all(specialized_flags),

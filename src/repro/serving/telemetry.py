@@ -1,9 +1,9 @@
 """Fleet-level serving metrics.
 
-Collects one record per fleet tick (batch size, classification latency,
-stalls, backlog) and aggregates them into the numbers a serving dashboard
-would show: throughput in labels/s, p50/p95/p99 batch latency, backlog depth
-and per-session accuracy.
+Collects one record per fleet tick (batch size, classification and prepare
+latency, stalls, backlog) and aggregates them into the numbers a serving
+dashboard would show: throughput in labels/s, p50/p95/p99 batch latency,
+backlog depth and per-session accuracy.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ class FleetTickRecord:
     #: Whether this flush was served by a degraded (quarantined-cohort
     #: serial fallback) lane rather than the configured executor.
     degraded: bool = False
+    #: Clock time a lock-step tick spent preparing (filtering and windowing)
+    #: every session's window before flushing; 0.0 on asynchronous flush
+    #: records, whose windows are prepared in ``submit``.
+    prepare_latency_s: float = 0.0
 
 
 @dataclass
@@ -247,6 +251,11 @@ class FleetTelemetry:
             return 0.0
         return max(r.executor_wait_s for r in self.records)
 
+    def prepare_latency_p95_s(self) -> float:
+        """p95 of lock-step ticks' prepare stage (0.0 without lock-step ticks)."""
+        prepare = [r.prepare_latency_s for r in self.records if r.flush_reason == "tick"]
+        return float(np.percentile(prepare, 95)) if prepare else 0.0
+
     def cohort_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-cohort roll-up: queue wait vs service time, violations, labels.
 
@@ -336,6 +345,7 @@ class FleetTelemetry:
             "plan_swaps": float(
                 sum(len(t) for t in self.plan_version_transitions().values())
             ),
+            "prepare_latency_p95_s": self.prepare_latency_p95_s(),
         }
 
 

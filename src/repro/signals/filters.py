@@ -9,12 +9,20 @@ The paper applies, in order:
 These are implemented here on top of :mod:`scipy.signal`, operating on
 ``(n_channels, n_samples)`` arrays so the same functions serve offline dataset
 preparation and the real-time pipeline.
+
+The real-time path filters every window of every session, so each filter is
+designed once per parameter set (coefficients, initial conditions and pad
+length, cached and read-only) rather than once per call.  The forward-backward
+passes repeat scipy's own steps with the cached designs, so every stage's
+output is bit-identical to ``butter`` + ``sosfiltfilt``, ``iirnotch`` +
+``filtfilt`` and the per-outlier median rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import signal as sps
@@ -30,6 +38,77 @@ def _as_2d(data: np.ndarray) -> Tuple[np.ndarray, bool]:
     raise ValueError("EEG data must be 1-D (samples) or 2-D (channels, samples)")
 
 
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Mark cached design arrays read-only so no caller can corrupt them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32, typed=True)
+def _bandpass_design(
+    fs: float, low: float, high: float, order: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Butterworth band-pass ``(sos, sosfilt_zi, padlen)`` for one parameter set.
+
+    ``zi`` is shaped ``(n_sections, 1, 2)`` to broadcast over channels, and
+    ``padlen`` is :func:`scipy.signal.sosfiltfilt`'s default pad.
+    """
+    if not 0 < low < high:
+        raise ValueError("Require 0 < low_hz < high_hz")
+    nyquist = fs / 2.0
+    if high >= nyquist:
+        raise ValueError("high_hz must be below the Nyquist frequency")
+    sos = sps.butter(order, [low / nyquist, high / nyquist], btype="band", output="sos")
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    sos, zi = _frozen(sos, sps.sosfilt_zi(sos)[:, None, :])
+    return sos, zi, 3 * int(ntaps)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _notch_design(
+    fs: float, f0: float, q: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """IIR notch ``(b, a, lfilter_zi, padlen)`` for one parameter set.
+
+    ``zi`` is shaped ``(1, order)`` to broadcast over channels, and
+    ``padlen`` is :func:`scipy.signal.filtfilt`'s default pad.
+    """
+    if f0 <= 0:
+        raise ValueError("notch_hz must be positive")
+    if f0 >= fs / 2.0:
+        raise ValueError("notch_hz must be below the Nyquist frequency")
+    b, a = sps.iirnotch(f0, q, fs=fs)
+    b, a, zi = _frozen(b, a, sps.lfilter_zi(b, a)[None, :])
+    return b, a, zi, 3 * max(len(a), len(b))
+
+
+def _forward_backward(
+    arr: np.ndarray,
+    zi: np.ndarray,
+    padlen: int,
+    step: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """scipy's "pad" filtfilt along axis 1, with precomputed initial conditions.
+
+    Odd-extend by ``padlen``, filter forward from ``zi`` scaled by the first
+    sample, filter the reversed output from ``zi`` scaled by its first
+    sample, reverse and trim: the same operations, in the same order, as
+    :func:`scipy.signal.sosfiltfilt` / :func:`scipy.signal.filtfilt`.
+    """
+    if arr.shape[1] <= padlen:
+        raise ValueError(
+            "The length of the input vector x must be greater than padlen, "
+            f"which is {padlen}."
+        )
+    left = 2 * arr[:, :1] - arr[:, padlen:0:-1]
+    right = 2 * arr[:, -1:] - arr[:, -2 : -(padlen + 2) : -1]
+    ext = np.concatenate((left, arr, right), axis=1)
+    y, _ = step(ext, zi * ext[:, :1])
+    y, _ = step(y[:, ::-1], zi * y[:, -1:])
+    return y[:, ::-1][:, padlen:-padlen]
+
+
 def bandpass_butterworth(
     data: np.ndarray,
     sampling_rate_hz: float = 125.0,
@@ -40,16 +119,16 @@ def bandpass_butterworth(
     """Apply the paper's 9th-order Butterworth band-pass (0.5-45 Hz).
 
     The filter is applied forward-backward (zero phase) using second-order
-    sections for numerical stability at high order.
+    sections for numerical stability at high order.  The design is cached per
+    parameter set; the output equals :func:`scipy.signal.sosfiltfilt`'s.
     """
-    if not 0 < low_hz < high_hz:
-        raise ValueError("Require 0 < low_hz < high_hz")
-    nyquist = sampling_rate_hz / 2.0
-    if high_hz >= nyquist:
-        raise ValueError("high_hz must be below the Nyquist frequency")
+    sos, zi, padlen = _bandpass_design(sampling_rate_hz, low_hz, high_hz, order)
     arr, was_1d = _as_2d(data)
-    sos = sps.butter(order, [low_hz / nyquist, high_hz / nyquist], btype="band", output="sos")
-    filtered = sps.sosfiltfilt(sos, arr, axis=1)
+    # scipy's compiled sosfilt kernel only takes a writable coefficient buffer.
+    sos = sos.copy()
+    filtered = _forward_backward(
+        arr, zi, padlen, lambda x, z: sps.sosfilt(sos, x, axis=1, zi=z)
+    )
     return filtered[0] if was_1d else filtered
 
 
@@ -59,15 +138,16 @@ def notch_filter(
     notch_hz: float = 50.0,
     quality_factor: float = 30.0,
 ) -> np.ndarray:
-    """Apply the paper's 50 Hz notch filter with quality factor 30."""
-    if notch_hz <= 0:
-        raise ValueError("notch_hz must be positive")
-    nyquist = sampling_rate_hz / 2.0
-    if notch_hz >= nyquist:
-        raise ValueError("notch_hz must be below the Nyquist frequency")
+    """Apply the paper's 50 Hz notch filter with quality factor 30.
+
+    The design is cached per parameter set; the output equals
+    :func:`scipy.signal.filtfilt`'s.
+    """
+    b, a, zi, padlen = _notch_design(sampling_rate_hz, notch_hz, quality_factor)
     arr, was_1d = _as_2d(data)
-    b, a = sps.iirnotch(notch_hz, quality_factor, fs=sampling_rate_hz)
-    filtered = sps.filtfilt(b, a, arr, axis=1)
+    filtered = _forward_backward(
+        arr, zi, padlen, lambda x, z: sps.lfilter(b, a, x, axis=1, zi=z)
+    )
     return filtered[0] if was_1d else filtered
 
 
@@ -84,26 +164,37 @@ def remove_artifacts(
     the channel median) are replaced by a local median computed over a
     ``window_s`` neighbourhood, which removes blink/EMG spikes while leaving
     the ongoing rhythms untouched.
+
+    Outliers are replaced left to right, so earlier replacements feed later
+    neighbourhoods; a neighbourhood with no in-threshold sample falls back to
+    the channel median.  Baselines and outlier masks are computed for all
+    channels at once and the replacement scan runs on Python floats; its
+    medians are bit-equal to :func:`numpy.median`'s.
     """
     arr, was_1d = _as_2d(data)
     cleaned = arr.copy()
     half = max(1, int(window_s * sampling_rate_hz / 2))
-    n_samples = arr.shape[1]
-    for ch in range(arr.shape[0]):
-        channel = cleaned[ch]
-        baseline = np.median(channel)
-        outliers = np.abs(channel - baseline) > amplitude_threshold_uv
-        if not outliers.any():
-            continue
-        idx = np.flatnonzero(outliers)
-        for i in idx:
-            lo = max(0, i - half)
-            hi = min(n_samples, i + half + 1)
-            neighbourhood = channel[lo:hi]
-            good = neighbourhood[
-                np.abs(neighbourhood - baseline) <= amplitude_threshold_uv
+    threshold = float(amplitude_threshold_uv)
+    baselines = np.median(arr, axis=1)
+    outliers = np.abs(arr - baselines[:, None]) > threshold
+    for ch in np.flatnonzero(outliers.any(axis=1)):
+        baseline = float(baselines[ch])
+        channel = cleaned[ch].tolist()
+        for i in np.flatnonzero(outliers[ch]).tolist():
+            good = [
+                v
+                for v in channel[max(0, i - half) : i + half + 1]
+                if abs(v - baseline) <= threshold
             ]
-            channel[i] = np.median(good) if good.size else baseline
+            good.sort()
+            mid, odd = divmod(len(good), 2)
+            if odd:
+                channel[i] = good[mid]
+            elif good:
+                channel[i] = (good[mid - 1] + good[mid]) / 2
+            else:
+                channel[i] = baseline
+        cleaned[ch] = channel
     return cleaned[0] if was_1d else cleaned
 
 
@@ -128,6 +219,11 @@ class PreprocessingPipeline:
     Instances are stateless with respect to the data (each call processes a
     complete segment), which matches the paper's windowed real-time operation:
     each classification window is filtered independently.
+
+    ``settings`` is read on every call, so a changed field takes effect on
+    the next one; the filter designs behind it are cached per parameter set,
+    and the output is bit-identical to the chain written directly against
+    :func:`scipy.signal.sosfiltfilt` and :func:`scipy.signal.filtfilt`.
     """
 
     def __init__(self, settings: Optional[FilterSettings] = None) -> None:
@@ -162,8 +258,13 @@ class PreprocessingPipeline:
         return out
 
     def minimum_samples(self) -> int:
-        """Smallest segment length the zero-phase filters accept."""
-        # sosfiltfilt requires the signal to be longer than the padding length,
-        # which depends on the filter order; 3x the section count is a safe,
-        # conservative bound used by callers to size buffers.
-        return 3 * (2 * self.settings.bandpass_order + 1)
+        """Smallest segment length :meth:`process` accepts.
+
+        Each zero-phase filter needs a segment longer than its pad length.
+        """
+        cfg = self.settings
+        *_, bandpass_pad = _bandpass_design(
+            cfg.sampling_rate_hz, cfg.bandpass_low_hz, cfg.bandpass_high_hz, cfg.bandpass_order
+        )
+        *_, notch_pad = _notch_design(cfg.sampling_rate_hz, cfg.notch_hz, cfg.notch_quality)
+        return max(bandpass_pad, notch_pad) + 1

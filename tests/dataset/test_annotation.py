@@ -88,6 +88,20 @@ class TestAnnotateRecording:
         filtered = Annotator(AnnotationConfig(apply_preprocessing=True)).annotate_session(session)
         assert not np.allclose(raw.data, filtered.data)
 
+    def test_session_at_the_filter_pad_length_is_left_unfiltered(self):
+        """57 samples equals the band-pass pad; the filters need one more."""
+        session = _session_with_cues([CueEvent(0.0, ACTION_LEFT, 1.0)], 57)
+        annotated = Annotator(AnnotationConfig(apply_preprocessing=True)).annotate_session(session)
+        np.testing.assert_array_equal(annotated.data, session.data)
+
+    def test_session_of_minimum_length_is_filtered(self):
+        annotator = Annotator(AnnotationConfig(apply_preprocessing=True))
+        n = annotator.preprocessing.minimum_samples()
+        session = _session_with_cues([CueEvent(0.0, ACTION_LEFT, 1.0)], n)
+        annotated = annotator.annotate_session(session)
+        assert annotated.data.shape == session.data.shape
+        assert not np.allclose(annotated.data, session.data)
+
     def test_label_fractions_sum_to_one(self):
         cues = [CueEvent(0.0, ACTION_LEFT, 2.0), CueEvent(2.0, ACTION_IDLE, 2.0)]
         session = _session_with_cues(cues, 500)

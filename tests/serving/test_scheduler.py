@@ -496,6 +496,49 @@ class TestEmptyFlushLatencySkew:
         assert scheduler.telemetry.stall_rate() == pytest.approx(0.5)
 
 
+class TestTickPrepareLatency:
+    """The lock-step tick record reports its prepare stage."""
+
+    class _SlowPrepare(ScriptedSession):
+        def __init__(self, session_id, clock, seed=0):
+            super().__init__(session_id, seed=seed)
+            self.clock = clock
+
+        def prepare_window(self):
+            self.clock.advance(0.005)
+            return super().prepare_window()
+
+    def _scheduler(self, clock, n_sessions):
+        scheduler = AsyncFleetScheduler(
+            ClockedStubClassifier(clock, base_latency_s=0.002),
+            scheduler_config=SchedulerConfig(deadline_s=DEADLINE_S),
+            clock=clock,
+        )
+        for i in range(n_sessions):
+            scheduler.add_session(self._SlowPrepare(f"s{i}", clock, seed=i))
+        return scheduler
+
+    def test_tick_record_carries_the_prepare_loop_time(self):
+        clock = FakeClock()
+        scheduler = self._scheduler(clock, n_sessions=3)
+        scheduler.tick()
+        (record,) = scheduler.telemetry.records
+        assert record.prepare_latency_s == pytest.approx(0.005 * 3)
+        assert record.batch_latency_s == pytest.approx(0.002)
+        summary = scheduler.telemetry.summary()
+        assert summary["prepare_latency_p95_s"] == pytest.approx(0.015)
+
+    def test_async_flush_records_report_zero(self):
+        clock = FakeClock()
+        scheduler = self._scheduler(clock, n_sessions=2)
+        scheduler.submit("s0")
+        scheduler.submit("s1")
+        scheduler.drain()
+        assert scheduler.telemetry.records
+        assert all(r.prepare_latency_s == 0.0 for r in scheduler.telemetry.records)
+        assert scheduler.telemetry.summary()["prepare_latency_p95_s"] == 0.0
+
+
 class TestStreamLagAdmission:
     """Satellite: upstream stream lag feeds the admission controller."""
 
