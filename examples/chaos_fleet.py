@@ -3,8 +3,8 @@
 
 Runs a two-cohort micro-batching fleet on a virtual clock against the
 simulated shard backend (:class:`repro.serving.chaos.SimulatedShardExecutor`
-— the same supervision policy and error surface as the real process
-backend, with faults as exact virtual-time events) and exercises the
+— the process shard executor's own code over an in-process loopback
+transport, with faults as exact virtual-time events) and exercises the
 robustness machinery end to end:
 
 - a scripted chaos soak (:class:`~repro.serving.chaos.FaultInjector`):

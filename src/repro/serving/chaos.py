@@ -9,17 +9,17 @@ little about tomorrow.  This module makes failure *scripted*:
   (worker kills mid-flush / idle / at respawn, pipe closes, slow-worker
   stalls) pinned to exact virtual times on the injected clock.  The
   injector drives any executor exposing the chaos surface
-  (``inject_kill`` / ``inject_pipe_close`` / ``inject_stall``) — the real
-  :class:`~repro.serving.executors.ProcessShardExecutor` or the simulated
-  one below.
-- :class:`SimulatedShardExecutor` — a process-shard stand-in that runs
-  entirely on the virtual clock: same supervision policy (it embeds the
-  same :class:`~repro.serving.executors.ShardSupervisor`), same error
-  types, same hot-swap/versioning contract, but deaths, backoffs and
-  stalls are exact virtual-time events.  This is what lets a
+  (``inject_kill`` / ``inject_pipe_close`` / ``inject_stall``).
+- :class:`SimulatedShardExecutor` — the real
+  :class:`~repro.serving.executors.ProcessShardExecutor` over an
+  in-process loopback transport instead of worker processes.  Submit,
+  tickets, supervised respawn, hot-swap and fault injection all run the
+  production code; the loopback drives the same worker protocol object a
+  child process runs, on the virtual clock.  So deaths, backoffs and
+  stalls are exact virtual-time events, which is what lets a
   10k-virtual-second, 32-session chaos soak with a dozen kills run in
-  well under a second of real time — and deterministically, so the
-  recovered run can be compared row-for-row against an uninjected one.
+  seconds of real time — and deterministically, so the recovered run can
+  be compared row-for-row against an uninjected one.
 - :class:`ChaosLoad` — :class:`tests.helpers.SimulatedLoad`-compatible
   driver that interleaves the injector with traffic, firing each fault at
   its scripted virtual time.
@@ -34,24 +34,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
+import signal
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.models.base import EEGClassifier
-from repro.serving.batcher import ExecutionResult, PreparedBatch, execute_windows
-from repro.serving.executors import (
-    WORKER_RUNNING,
-    CohortQuarantinedError,
-    ExecutorClosedError,
-    ShardSupervisor,
-    SupervisorConfig,
-    WorkerDiedError,
-    WorkerRespawnPending,
-    _BoundMixin,
-)
+from repro.serving.executors import ProcessShardExecutor, _Shard, _ShardWorker
 from repro.serving.telemetry import FleetTelemetry
 from repro.utils.timing import Clock
 
@@ -155,245 +146,96 @@ class FaultInjector:
             self._executor.inject_stall(injection.cohort, injection.duration_s)
 
 
-class _SimulatedWorker:
-    """State of one simulated cohort lane."""
+class _Loopback:
+    """In-process stand-in for a worker process *and* its pipe end.
 
-    def __init__(self, plan_version: int = 1) -> None:
-        self.alive = True
-        self.plan_version = plan_version
-        self.pending_stall_s = 0.0
-        self.die_mid_flush = False
-        self.fail_next_respawn = False
-
-
-class _SimulatedTicket:
-    """Lazy flush result: faults scripted for this flush land at harvest."""
-
-    def __init__(
-        self,
-        executor: "SimulatedShardExecutor",
-        cohort: str,
-        worker: _SimulatedWorker,
-        prepared: PreparedBatch,
-    ) -> None:
-        self._executor = executor
-        self._cohort = cohort
-        self._worker = worker
-        self._prepared = prepared
-        self._execution: Optional[ExecutionResult] = None
-
-    def done(self) -> bool:
-        return True  # resolving is instantaneous (virtual time only moves here)
-
-    def result(self, timeout: Optional[float] = None) -> ExecutionResult:
-        if self._execution is not None:
-            return self._execution
-        worker = self._worker
-        if worker.die_mid_flush:
-            worker.die_mid_flush = False
-            worker.alive = False
-            self._executor.supervisor.record_death(self._cohort)
-            raise WorkerDiedError(
-                self._cohort, pending=(self,), detail="simulated mid-flush kill"
-            )
-        clock = self._executor._clock
-        if worker.pending_stall_s > 0.0:
-            # A stalled worker holds its reply; virtual clocks advance, the
-            # system clock (never used in chaos soaks) would sleep.
-            stall, worker.pending_stall_s = worker.pending_stall_s, 0.0
-            advance = getattr(clock, "advance", None)
-            if advance is not None:
-                advance(stall)
-            else:
-                clock.sleep(stall)
-        self._execution = execute_windows(
-            self._executor._classifier_for(self._cohort),
-            self._prepared.windows,
-            self._prepared.chunk_size,
-            clock,
-            worker=f"sim:{self._cohort}",
-            plan_version=worker.plan_version,
-        )
-        return self._execution
-
-
-class SimulatedShardExecutor(_BoundMixin):
-    """Process-shard semantics on the virtual clock, faults included.
-
-    Implements the full supervised-executor contract of
-    :class:`~repro.serving.executors.ProcessShardExecutor` — the same
-    :class:`ShardSupervisor` policy object, the same typed errors
-    (:class:`WorkerDiedError` / :class:`WorkerRespawnPending` /
-    :class:`CohortQuarantinedError`), the same supervision, hot-swap and
-    chaos surfaces — but lanes are in-process state machines instead of
-    OS processes, so a scripted 10k-virtual-second soak is deterministic
-    and instant.  Classification runs the *actual* cohort classifiers
-    (any ``EEGClassifier``, no transport requirement), which is what makes
-    the recovered run exactly comparable to an uninjected one.
+    Sent messages queue up; the :class:`_ShardWorker` answers them only
+    when the parent reads (``poll``/``recv``), so a scripted stall moves
+    virtual time at harvest, where a real worker's late reply would land.
+    It fails the way a pipe does: once closed, ``send``/``poll`` raise
+    ``OSError``; a dead worker reads as end-of-file (``poll`` is True,
+    ``recv`` raises ``EOFError``).
     """
 
-    serializes_flushes = False
-    remote_execution = True
-
-    def __init__(
-        self, supervisor_config: Optional[SupervisorConfig] = None
-    ) -> None:
-        super().__init__()
-        self.supervisor_config = supervisor_config or SupervisorConfig()
-        self.supervisor = ShardSupervisor(self.supervisor_config)
-        self._workers: Dict[str, _SimulatedWorker] = {}
-        self._versions: Dict[str, int] = {}
+    def __init__(self, worker: _ShardWorker, handshake: tuple) -> None:
+        self._worker = worker
+        self._inbox: Deque[Optional[tuple]] = deque()
+        self._replies: Deque[tuple] = deque([handshake])
+        self._exitcode = 0
         self.closed = False
-        #: Lifetime counts of injected faults actually absorbed, per kind.
-        self.fault_counts: Dict[str, int] = {KILL: 0, PIPE_CLOSE: 0, STALL: 0}
 
-    def bind(self, classifiers: Mapping[str, EEGClassifier], clock: Clock) -> None:
+    def send(self, message: Optional[tuple]) -> None:
         if self.closed:
-            raise ExecutorClosedError(
-                "executor was shut down; build a fresh one instead of rebinding"
-            )
-        self._check_bind(classifiers)
-        self._classifiers = dict(classifiers)
-        self._clock = clock
-        self.supervisor = ShardSupervisor(self.supervisor_config, clock)
-        self._workers = {cohort: _SimulatedWorker() for cohort in classifiers}
-        self._versions = {cohort: 1 for cohort in classifiers}
-        for cohort in classifiers:
-            self.supervisor.watch(cohort)
+            raise OSError("handle is closed")
+        self._inbox.append(message)
 
-    # ------------------------------------------------------------------ #
-    # supervision surface (mirrors ProcessShardExecutor)
-    # ------------------------------------------------------------------ #
-    def worker_state(self, cohort: str) -> str:
-        return self.supervisor.state(cohort)
-
-    def fleet_states(self) -> Dict[str, str]:
-        return self.supervisor.states()
-
-    def respawn_due_s(self, cohort: str) -> Optional[float]:
-        return self.supervisor.retry_at_s(cohort)
-
-    def restart_count(self, cohort: str) -> int:
-        return self.supervisor.restart_count(cohort)
-
-    def plan_version(self, cohort: str) -> int:
-        return self._versions.get(cohort, 0)
-
-    def acked_plan_version(self, cohort: str) -> int:
-        worker = self._workers.get(cohort)
-        return worker.plan_version if worker is not None else 0
-
-    # ------------------------------------------------------------------ #
-    # flush path
-    # ------------------------------------------------------------------ #
-    def _respawn(self, cohort: str) -> None:
-        worker = self._workers[cohort]
-        if worker.fail_next_respawn:
-            worker.fail_next_respawn = False
-            state = self.supervisor.record_death(cohort)
-            if state == "quarantined":
-                raise CohortQuarantinedError(
-                    cohort,
-                    deaths=self.supervisor.deaths_in_window(cohort),
-                    window_s=self.supervisor_config.restart_window_s,
-                )
-            raise WorkerDiedError(
-                cohort, detail="simulated respawn/start failure"
-            )
-        worker.alive = True
-        worker.die_mid_flush = False
-        worker.pending_stall_s = 0.0
-        worker.plan_version = self._versions[cohort]
-        self.supervisor.record_respawn_success(cohort)
-
-    def submit_flush(self, cohort: str, prepared: PreparedBatch) -> _SimulatedTicket:
+    def poll(self, timeout: Optional[float] = None) -> bool:
         if self.closed:
-            raise ExecutorClosedError(
-                f"cannot flush cohort {cohort!r}: executor was shut down"
-            )
-        self._classifier_for(cohort)
-        state = self.supervisor.state(cohort)
-        if state == "quarantined":
-            raise CohortQuarantinedError(
-                cohort,
-                deaths=self.supervisor.deaths_in_window(cohort),
-                window_s=self.supervisor_config.restart_window_s,
-            )
-        if state == "respawning":
-            retry_at = self.supervisor.retry_at_s(cohort)
-            assert retry_at is not None
-            if self._clock.now() < retry_at:
-                raise WorkerRespawnPending(cohort, retry_at)
-            self._respawn(cohort)
-        worker = self._workers[cohort]
-        if not worker.alive:
-            # Idle death, discovered at submit — exactly when the real
-            # executor notices an exited process.
-            self.supervisor.record_death(cohort)
-            raise WorkerDiedError(cohort, detail="simulated worker dead")
-        return _SimulatedTicket(self, cohort, worker, prepared)
+            raise OSError("handle is closed")
+        while not self._replies and self._inbox and self._worker.alive:
+            reply = self._worker.handle(self._inbox.popleft())
+            if reply is not None:
+                self._replies.append(reply)
+        return bool(self._replies) or not self._worker.alive
 
-    # ------------------------------------------------------------------ #
-    # plan hot-swap
-    # ------------------------------------------------------------------ #
-    def swap_plan(self, cohort: str, payload: Any) -> int:
-        """Swap a cohort's plan; accepts transport bytes or a classifier.
+    def recv(self) -> tuple:
+        self.poll()
+        if not self._replies:
+            raise EOFError("loopback worker has exited")
+        return self._replies.popleft()
 
-        Mirrors the real executor's contract: the new plan becomes both the
-        serving plan (flipped between flushes — the scheduler harvests any
-        in-flight flush before swapping) and the respawn image, and the
-        bumped version is echoed on every subsequent flush.
-        """
-        if self.closed:
-            raise ExecutorClosedError(
-                f"cannot swap cohort {cohort!r}: executor was shut down"
-            )
-        self._classifier_for(cohort)
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            from repro.models.compiled import CompiledClassifier
-
-            classifier: EEGClassifier = CompiledClassifier.from_payload(
-                bytes(payload)
-            )
-        else:
-            classifier = payload
-        version = self._versions[cohort] + 1
-        self._versions[cohort] = version
-        assert self._classifiers is not None
-        self._classifiers[cohort] = classifier
-        worker = self._workers[cohort]
-        if worker.alive and self.supervisor.state(cohort) == WORKER_RUNNING:
-            worker.plan_version = version
-        return version
-
-    # ------------------------------------------------------------------ #
-    # chaos surface
-    # ------------------------------------------------------------------ #
-    def inject_kill(self, cohort: str, phase: str = "idle") -> None:
-        worker = self._workers[cohort]
-        if phase in ("respawn", "bind"):
-            worker.fail_next_respawn = True
-        elif phase == "mid-flush":
-            worker.die_mid_flush = True
-        else:
-            worker.alive = False
-        self.fault_counts[KILL] += 1
-
-    def inject_pipe_close(self, cohort: str) -> None:
-        # Transport loss is indistinguishable from an idle death up here:
-        # the lane stops answering and the next use discovers it.
-        self._workers[cohort].alive = False
-        self.fault_counts[PIPE_CLOSE] += 1
-
-    def inject_stall(self, cohort: str, duration_s: float) -> None:
-        self._workers[cohort].pending_stall_s += float(duration_s)
-        self.fault_counts[STALL] += 1
-
-    def shutdown(self) -> None:
+    def close(self) -> None:
         self.closed = True
-        self._workers = {}
-        self._versions = {}
-        self._classifiers = None
+
+    def is_alive(self) -> bool:
+        return self._worker.alive
+
+    @property
+    def exitcode(self) -> Optional[int]:
+        return None if self._worker.alive else self._exitcode
+
+    def kill(self) -> None:
+        if self._worker.alive:
+            self._worker.alive, self._exitcode = False, -signal.SIGKILL
+
+    terminate = kill
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        pass
+
+
+def _served_as_is(payload: Any) -> EEGClassifier:
+    """Loopback replica builder: objects serve as they are, bytes rebuild."""
+    if isinstance(payload, bytes):
+        from repro.models.compiled import CompiledClassifier
+
+        return CompiledClassifier.from_payload(payload)
+    return payload
+
+
+class SimulatedShardExecutor(ProcessShardExecutor):
+    """:class:`ProcessShardExecutor` over an in-process loopback transport.
+
+    Every submit, ticket, respawn, hot-swap, fault-injection and shutdown
+    path is the process backend's own; only the transport differs.  Each
+    cohort's worker is the same :class:`_ShardWorker` a child process runs,
+    driven through a loopback conn on the injected clock, so deaths,
+    backoffs and stalls are exact virtual-time events and a scripted
+    10k-virtual-second soak is deterministic and fast.  Workers serve the
+    cohort classifier objects themselves (any ``EEGClassifier``, no
+    transport requirement), which is what makes the recovered run exactly
+    comparable to an uninjected one.  Worker ids read ``sim:<cohort>``.
+    """
+
+    @staticmethod
+    def _payload_for(cohort: str, classifier: EEGClassifier) -> EEGClassifier:
+        return classifier
+
+    def _spawn_process(self, cohort: str) -> _Shard:
+        payload, version, fail_start = self._spawn_args(cohort)
+        worker = _ShardWorker(f"sim:{cohort}", self._clock, _served_as_is)
+        loop = _Loopback(worker, worker.start(payload, version, fail_start))
+        return _Shard(cohort, loop, loop, plan_version=version)
 
 
 class ChaosLoad:

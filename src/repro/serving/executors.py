@@ -21,6 +21,14 @@ with decides *where* the classification runs.  Three backends ship:
   service with their local monotonic clock (an injected virtual clock
   cannot cross a process boundary — see the README's clock caveats).
 
+The worker side of the pipe protocol is one transport-free object,
+:class:`_ShardWorker`, whose ``handle(message)`` answers one flush, swap,
+stall or fault-injection control.  A child process drives it as
+``recv → handle → send``; :class:`repro.serving.chaos.SimulatedShardExecutor`
+drives the same object over an in-process loopback on the injected clock,
+so chaos soaks exercise this module's submit, ticket, respawn, hot-swap
+and fault-injection code rather than a copy of it.
+
 The process backend is *supervised*: a :class:`ShardSupervisor` tracks each
 cohort worker's lifecycle (``running`` → ``respawning`` → ``quarantined``).
 When a worker dies, the executor respawns it from the cohort's cached
@@ -42,21 +50,23 @@ its own thread, so sessions and telemetry are never touched concurrently.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import random
-import signal
 import threading
 import time
+import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass
 from typing import (
+    Any,
+    Callable,
     Deque,
     Dict,
     Mapping,
     Optional,
     Protocol,
+    Set,
     Tuple,
     runtime_checkable,
 )
@@ -216,7 +226,8 @@ class SupervisorConfig:
         A successful respawn resets the exponent.
     jitter_fraction:
         Uniform jitter added on top of the backoff, as a fraction of it,
-        drawn from a per-cohort seeded RNG — deterministic under test,
+        drawn from a per-cohort seeded RNG — deterministic under test (and
+        across interpreter runs, so a failing soak replays exactly),
         decorrelated across cohorts in production.
     seed:
         Base seed of the jitter RNGs.
@@ -259,8 +270,9 @@ class ShardSupervisor:
     touches processes itself — executors call :meth:`record_death` /
     :meth:`record_respawn_success` and ask :meth:`state` /
     :meth:`retry_at_s` before acting — which is what makes the policy
-    exactly testable on a virtual clock and shareable between the real
-    process backend and the simulated chaos backend.
+    exactly testable on a virtual clock, whichever transport (worker
+    processes or the chaos loopback) carries the supervised executor's
+    traffic.
     """
 
     def __init__(
@@ -284,8 +296,9 @@ class ShardSupervisor:
             self._deaths[cohort] = deque()
             self._consecutive[cohort] = 0
             self._restarts[cohort] = 0
+            # crc32, not hash(): string hashing is salted per interpreter.
             self._rng[cohort] = random.Random(
-                (self.config.seed, cohort).__hash__() & 0x7FFFFFFF
+                zlib.crc32(f"{self.config.seed}:{cohort}".encode())
             )
 
     def state(self, cohort: str) -> str:
@@ -496,90 +509,119 @@ class ThreadPoolFlushExecutor(_BoundMixin):
 # ---------------------------------------------------------------------- #
 # Process sharding
 # ---------------------------------------------------------------------- #
-def _shard_worker_main(
-    conn, cohort: str, payload: bytes, plan_version: int = 1
-) -> None:
-    """Entry point of one shard worker: pin a plan replica, serve flushes.
+class _ShardWorker:
+    """One cohort worker's side of the pipe protocol, free of any transport.
 
-    Runs in a child process.  Reconstructs the cohort's compiled classifier
-    from its transport payload once, acknowledges readiness, then answers
-    tagged pipe messages until the ``None`` sentinel arrives:
+    :meth:`start` builds the plan replica and returns the ready-handshake
+    reply; :meth:`handle` answers one tagged message:
 
-    - ``("flush", windows, chunk_size)`` → ``("ok", probabilities,
-      batch_sizes, service_s, worker, specialized, plan_version)`` or
+    - ``("flush", windows, chunk_size)`` → ``("ok", ExecutionResult)`` or
       ``("error", message)``;
-    - ``("swap", version, payload)`` → the worker builds the *new* replica
-      fully (double-buffered — the old one keeps serving if the build
-      fails) and flips to it atomically between flushes, acking
-      ``("swapped", version)`` or ``("swap-error", version, message)``;
-    - ``("stall", duration_s)`` → sleeps (fault injection for slow-worker
-      scenarios), acking ``("stalled", duration_s)``.
+    - ``("swap", version, payload)`` → builds the *new* replica fully
+      (double-buffered: the old one keeps serving if the build fails) and
+      flips to it between flushes, acking ``("swapped", version)`` or
+      ``("swap-error", version, message)``;
+    - ``("stall", duration_s)`` → sleeps on the worker's clock (slow-worker
+      fault injection), acking ``("stalled", duration_s)``;
+    - ``("crash-on-flush",)`` → acks ``("crash-armed",)``; the next flush
+      then exits the worker without an answer (a mid-flush death).
 
-    The loop is single-threaded, so a flip between flushes *is* atomic: no
+    ``None`` means the worker has exited (:attr:`alive` turns False).  A
+    worker is single-threaded, so a flip between flushes *is* atomic: no
     flush can ever observe a half-updated plan.  Service time is measured
-    with the worker's own monotonic clock.
+    on the worker's own ``clock``; ``build`` turns a shipped payload into
+    the replica it serves.
     """
-    try:
-        from repro.models.compiled import CompiledClassifier
 
-        replica = CompiledClassifier.from_payload(payload)
-        # The worker owns this replica outright: let its plan pre-bind
-        # zero-allocation arenas for the cohort's dominant flush sizes.
-        replica.enable_auto_specialization()
-    except Exception as exc:  # noqa: BLE001 — report, do not crash silently
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        return
-    worker_id = f"shard:{cohort}"
-    version = int(plan_version)
-    conn.send(("ready", worker_id))
-    while True:
+    def __init__(
+        self, worker_id: str, clock: Clock, build: Callable[[Any], EEGClassifier]
+    ) -> None:
+        self.worker_id = worker_id
+        self.clock = clock
+        self._build = build
+        self._replica: Optional[EEGClassifier] = None
+        self._version = 0
+        self._crash_on_flush = False
+        self.alive = True
+
+    def start(self, payload: Any, plan_version: int, fail: bool = False) -> tuple:
+        """Build the replica; ``("ready", worker_id)`` or ``("error", why)``."""
+        try:
+            if fail:
+                raise RuntimeError("scripted start failure")
+            self._replica = self._build(payload)
+        except Exception as exc:  # noqa: BLE001 — report, do not crash silently
+            self.alive = False
+            return ("error", f"{type(exc).__name__}: {exc}")
+        self._version = int(plan_version)
+        return ("ready", self.worker_id)
+
+    def handle(self, message: tuple) -> Optional[tuple]:
+        tag = message[0]
+        if tag == "flush":
+            if self._crash_on_flush:
+                self.alive = False
+                return None
+            _, windows, chunk_size = message
+            try:
+                execution = execute_windows(
+                    self._replica,
+                    windows,
+                    chunk_size,
+                    self.clock,
+                    worker=self.worker_id,
+                    plan_version=self._version,
+                )
+            except Exception as exc:  # noqa: BLE001
+                return ("error", f"{type(exc).__name__}: {exc}")
+            return ("ok", execution)
+        if tag == "swap":
+            _, version, payload = message
+            try:
+                fresh = self._build(payload)
+            except Exception as exc:  # noqa: BLE001 — keep serving the old plan
+                return ("swap-error", version, f"{type(exc).__name__}: {exc}")
+            self._replica, self._version = fresh, int(version)
+            return ("swapped", self._version)
+        if tag == "stall":
+            self.clock.sleep(float(message[1]))
+            return ("stalled", float(message[1]))
+        if tag == "crash-on-flush":
+            self._crash_on_flush = True
+            return ("crash-armed",)
+        return ("error", f"unknown message tag {tag!r}")
+
+
+def _build_replica(payload: bytes) -> EEGClassifier:
+    from repro.models.compiled import CompiledClassifier
+
+    replica = CompiledClassifier.from_payload(payload)
+    # The worker owns this replica outright: let its plan pre-bind
+    # zero-allocation arenas for the cohort's dominant flush sizes.
+    replica.enable_auto_specialization()
+    return replica
+
+
+def _shard_worker_main(
+    conn, cohort: str, payload: bytes, plan_version: int = 1, fail_start: bool = False
+) -> None:
+    """Child-process entry point: handshake, then ``recv → handle → send``.
+
+    Runs on the system clock: an injected virtual clock cannot cross a
+    process boundary.
+    """
+    worker = _ShardWorker(f"shard:{cohort}", SYSTEM_CLOCK, _build_replica)
+    conn.send(worker.start(payload, plan_version, fail_start))
+    while worker.alive:
         try:
             message = conn.recv()
         except EOFError:  # parent went away
             break
         if message is None:
             break
-        tag = message[0]
-        if tag == "swap":
-            _, new_version, new_payload = message
-            try:
-                fresh = CompiledClassifier.from_payload(new_payload)
-                fresh.enable_auto_specialization()
-            except Exception as exc:  # noqa: BLE001 — keep serving the old plan
-                conn.send(
-                    ("swap-error", new_version, f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            replica = fresh
-            version = int(new_version)
-            conn.send(("swapped", version))
-            continue
-        if tag == "stall":
-            time.sleep(float(message[1]))
-            conn.send(("stalled", float(message[1])))
-            continue
-        if tag != "flush":
-            conn.send(("error", f"unknown message tag {tag!r}"))
-            continue
-        _, windows, chunk_size = message
-        try:
-            execution = execute_windows(
-                replica, windows, chunk_size, worker=worker_id
-            )
-            conn.send(
-                (
-                    "ok",
-                    execution.probabilities,
-                    execution.batch_sizes,
-                    execution.service_s,
-                    execution.worker,
-                    execution.specialized,
-                    version,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        reply = worker.handle(message)
+        if reply is not None:
+            conn.send(reply)
     conn.close()
 
 
@@ -604,7 +646,12 @@ class _ShardTicket:
         return WorkerDiedError(self._shard.cohort, pending=(self,), detail=detail)
 
     def done(self) -> bool:
-        return self._execution is not None or self._shard.conn.poll(0)
+        if self._execution is not None:
+            return True
+        try:
+            return self._shard.conn.poll(0)
+        except OSError:  # closed pipe: result() reports the dead worker
+            return True
 
     def result(self, timeout: Optional[float] = None) -> ExecutionResult:
         if self._execution is not None:
@@ -613,23 +660,18 @@ class _ShardTicket:
         while True:
             try:
                 answered = self._shard.conn.poll(timeout)
-            except (EOFError, BrokenPipeError, OSError):
+                message = self._shard.conn.recv() if answered else None
+            except (EOFError, OSError):  # closed pipe, or EOF from a dead worker
                 raise self._died("pipe closed") from None
-            if not answered:
+            if message is None:
                 if not self._shard.process.is_alive():
                     # The worker died mid-flush: the request will never be
                     # answered, so waiting longer only wedges the cohort.
-                    raise self._died(
-                        f"exitcode {self._shard.process.exitcode}"
-                    )
+                    raise self._died(f"exitcode {self._shard.process.exitcode}")
                 raise TimeoutError(
                     f"shard worker {self._shard.cohort!r} did not answer within "
                     f"{timeout}s"
                 )
-            try:
-                message = self._shard.conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                raise self._died("pipe closed") from None
             # Control acks (swap/stall issued while this flush was in
             # flight) arrive in pipe order ahead of or behind the flush
             # reply; fold them into parent-side state and keep reading.
@@ -641,28 +683,13 @@ class _ShardTicket:
             raise FlushExecutionError(
                 f"shard worker {self._shard.cohort!r} failed: {message[1]}"
             )
-        (
-            _,
-            probabilities,
-            batch_sizes,
-            service_s,
-            worker,
-            specialized,
-            plan_version,
-        ) = message
-        self._execution = ExecutionResult(
-            probabilities=probabilities,
-            batch_sizes=list(batch_sizes),
-            service_s=float(service_s),
-            worker=str(worker),
-            specialized=bool(specialized),
-            plan_version=int(plan_version),
-        )
+        self._execution = message[1]
         return self._execution
 
 
 class _Shard:
-    """Parent-side handle on one cohort's worker process."""
+    """Parent-side handle on one cohort's worker: its process and pipe, or
+    the chaos loopback's stand-ins for both."""
 
     def __init__(self, cohort: str, process, conn, plan_version: int = 1) -> None:
         self.cohort = cohort
@@ -692,9 +719,7 @@ class _Shard:
             if self.pending_swap == int(message[1]):
                 self.pending_swap = None
             return True
-        if tag == "stalled":
-            return True
-        return False
+        return tag in ("stalled", "crash-armed")
 
 
 class ProcessShardExecutor(_BoundMixin):
@@ -751,12 +776,15 @@ class ProcessShardExecutor(_BoundMixin):
         self.supervisor_config = supervisor_config or SupervisorConfig()
         self.supervisor = ShardSupervisor(self.supervisor_config)
         self._shards: Dict[str, _Shard] = {}
-        self._payloads: Dict[str, bytes] = {}
+        self._payloads: Dict[str, Any] = {}
         self._versions: Dict[str, int] = {}
+        #: Cohorts whose next spawn fails its handshake (``respawn`` kills).
+        self._fail_next_start: Set[str] = set()
         self.closed = False
 
     @staticmethod
-    def _payload_for(cohort: str, classifier: EEGClassifier) -> bytes:
+    def _payload_for(cohort: str, classifier: EEGClassifier) -> Any:
+        """What a cohort's worker is shipped to build its replica from."""
         from repro.models.compiled import CompiledClassifier
 
         compiled: Optional[CompiledClassifier]
@@ -803,12 +831,18 @@ class ProcessShardExecutor(_BoundMixin):
     # ------------------------------------------------------------------ #
     # spawn / respawn machinery
     # ------------------------------------------------------------------ #
+    def _spawn_args(self, cohort: str) -> Tuple[Any, int, bool]:
+        """Payload, plan version and scripted start failure of a spawn."""
+        fail_start = cohort in self._fail_next_start
+        self._fail_next_start.discard(cohort)
+        return self._payloads[cohort], self._versions[cohort], fail_start
+
     def _spawn_process(self, cohort: str) -> _Shard:
-        version = self._versions[cohort]
+        payload, version, fail_start = self._spawn_args(cohort)
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, cohort, self._payloads[cohort], version),
+            args=(child_conn, cohort, payload, version, fail_start),
             name=f"shard-{cohort}",
             daemon=True,
         )
@@ -851,7 +885,9 @@ class ProcessShardExecutor(_BoundMixin):
         if old is not None:
             self._reap(old)
         try:
-            shard = self._spawn_process(cohort)
+            # Tracked before the handshake, so a failed start is reaped by
+            # the next respawn or by shutdown.
+            self._shards[cohort] = shard = self._spawn_process(cohort)
             self._await_ready(shard, time.monotonic() + self.start_timeout_s)
         except FlushExecutionError as exc:
             state = self.supervisor.record_death(cohort)
@@ -864,7 +900,6 @@ class ProcessShardExecutor(_BoundMixin):
             raise WorkerDiedError(
                 cohort, detail=f"respawn failed: {exc}"
             ) from exc
-        self._shards[cohort] = shard
         self.supervisor.record_respawn_success(cohort)
 
     # ------------------------------------------------------------------ #
@@ -938,8 +973,11 @@ class ProcessShardExecutor(_BoundMixin):
     # ------------------------------------------------------------------ #
     # plan hot-swap
     # ------------------------------------------------------------------ #
-    def swap_plan(self, cohort: str, payload: bytes) -> int:
+    def swap_plan(self, cohort: str, payload: Any) -> int:
         """Ship a new plan payload to the cohort's worker; returns its version.
+
+        ``payload`` is transport bytes or a classifier object, which is
+        lowered through :meth:`_payload_for` first.
 
         The worker double-buffers: it builds the new replica completely,
         then flips between flushes, so no flush ever observes a
@@ -954,13 +992,15 @@ class ProcessShardExecutor(_BoundMixin):
                 f"cannot swap cohort {cohort!r}: executor was shut down"
             )
         self._classifier_for(cohort)
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
-            # A classifier object: lower it to its transport payload here so
+        if isinstance(payload, (bytearray, memoryview)):
+            payload = bytes(payload)
+        elif not isinstance(payload, bytes):
+            # A classifier object: lower it to what the transport ships so
             # callers can hand either form to any swap-capable executor.
             payload = self._payload_for(cohort, payload)
         version = self._versions[cohort] + 1
         self._versions[cohort] = version
-        self._payloads[cohort] = bytes(payload)
+        self._payloads[cohort] = payload
         shard = self._shards.get(cohort)
         if (
             shard is None
@@ -970,7 +1010,7 @@ class ProcessShardExecutor(_BoundMixin):
             # Lane is down or respawning: the respawn serves the new image.
             return version
         try:
-            shard.conn.send(("swap", version, self._payloads[cohort]))
+            shard.conn.send(("swap", version, payload))
         except (BrokenPipeError, OSError):
             self._note_worker_death(shard)
             return version
@@ -1030,13 +1070,28 @@ class ProcessShardExecutor(_BoundMixin):
     # fault injection surface (chaos harness)
     # ------------------------------------------------------------------ #
     def inject_kill(self, cohort: str, phase: str = "idle") -> None:
-        """SIGKILL the cohort's worker (``phase`` is advisory for parity
-        with the simulated backend — a real kill lands wherever the worker
-        happens to be)."""
+        """Kill the cohort's worker at a scripted point of its lifecycle.
+
+        ``idle`` kills the worker now (``Process.kill`` sends SIGKILL); the
+        next submit discovers the death.  ``mid-flush`` arms the worker to
+        exit on its next flush without answering, so that flush's ticket
+        raises :class:`WorkerDiedError` carrying it.  ``respawn`` (alias
+        ``bind``) makes the cohort's next spawn answer its ready handshake
+        with an error, failing that respawn.
+        """
+        if phase in ("respawn", "bind"):
+            self._fail_next_start.add(cohort)
+            return
         shard = self._shards.get(cohort)
         if shard is None or not shard.process.is_alive():
             return
-        os.kill(shard.process.pid, signal.SIGKILL)
+        if phase == "mid-flush":
+            try:
+                shard.conn.send(("crash-on-flush",))
+            except OSError:
+                pass
+            return
+        shard.process.kill()
         shard.process.join(timeout=10.0)
 
     def inject_pipe_close(self, cohort: str) -> None:

@@ -1,11 +1,12 @@
 """Chaos soaks: scripted faults against the self-healing shard fleet.
 
-Everything here runs on the FakeClock against the simulated shard backend
-(:class:`repro.serving.chaos.SimulatedShardExecutor`) — the same
-supervision policy and error types as the real process backend, but
-deaths, backoffs and stalls are exact virtual-time events.  That is what
-lets a multi-thousand-virtual-second soak with a dozen kills run in
-seconds and still be compared row-for-row against an uninjected run.
+Everything here runs on the FakeClock against
+:class:`repro.serving.chaos.SimulatedShardExecutor` — the process shard
+executor's own submit, respawn, hot-swap and fault-injection code over an
+in-process loopback transport, so deaths, backoffs and stalls are exact
+virtual-time events.  That is what lets a multi-thousand-virtual-second
+soak with a dozen kills run in seconds and still be compared row-for-row
+against an uninjected run.
 
 The default run is sized for tier-1; set ``REPRO_CHAOS_SOAK=1`` (the CI
 ``chaos-soak`` job does) for the full 10k-virtual-second, 32-session soak.
@@ -318,7 +319,7 @@ class TestFaultInjector:
 
 
 class TestSimulatedExecutorContract:
-    """The simulator honours the same lifecycle contract as the real one."""
+    """The simulator is the process executor over a loopback transport."""
 
     def _bound(self):
         clock = FakeClock()
@@ -333,6 +334,14 @@ class TestSimulatedExecutorContract:
         return PreparedBatch(
             session_ids=["x"], windows=rng.standard_normal((1, 2, 4)), chunk_size=8
         )
+
+    def test_simulator_overrides_only_the_transport(self):
+        # Everything else is ProcessShardExecutor's own code: no twin of
+        # its submit/respawn/swap/fault paths may grow back here.
+        defined = {
+            name for name in vars(SimulatedShardExecutor) if not name.startswith("__")
+        }
+        assert defined == {"_payload_for", "_spawn_process"}
 
     def test_idle_kill_respawns_after_backoff(self):
         executor, clock = self._bound()
@@ -356,6 +365,13 @@ class TestSimulatedExecutorContract:
         with pytest.raises(WorkerDiedError) as err:
             ticket.result()
         assert err.value.pending == (ticket,)
+        assert executor.worker_state("default") == WORKER_RESPAWNING
+
+    def test_pipe_close_fails_like_a_real_pipe(self):
+        executor, clock = self._bound()
+        executor.inject_pipe_close("default")
+        with pytest.raises(WorkerDiedError, match="pipe closed"):
+            executor.submit_flush("default", self._prepared())
         assert executor.worker_state("default") == WORKER_RESPAWNING
 
     def test_stall_advances_virtual_time_by_the_scripted_amount(self):

@@ -6,9 +6,15 @@ real clock, wrapped in a hard wall-clock timeout so a wedged worker fails
 fast and attributably.
 """
 
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.models.lstm_model import EEGLSTM, LSTMConfig
 from repro.serving.batcher import MicroBatcher, PreparedBatch, execute_windows
 from repro.serving.executors import (
@@ -23,6 +29,8 @@ from repro.serving.executors import (
     SupervisorConfig,
     ThreadPoolFlushExecutor,
     WorkerDiedError,
+    _Shard,
+    _ShardTicket,
 )
 from repro.serving.scheduler import (
     SUBMIT_FLUSHED,
@@ -562,6 +570,53 @@ class TestProcessShardExecutor:
             execution.probabilities, reference.probabilities, atol=1e-7, rtol=0
         )
 
+    def test_mid_flush_and_respawn_kill_phases_on_real_workers(self):
+        classifier = _lstm()
+        rng = np.random.default_rng(3)
+        prepared = PreparedBatch(
+            session_ids=["a", "b"],
+            windows=rng.standard_normal((2, 4, 50)),
+            chunk_size=8,
+        )
+        executor = ProcessShardExecutor(
+            supervisor_config=SupervisorConfig(
+                backoff_initial_s=0.0, jitter_fraction=0.0
+            )
+        )
+        with hard_timeout(240, what="scripted kill phases on real workers"):
+            executor.bind({"default": classifier}, SYSTEM_CLOCK)
+            try:
+                reference = executor.submit_flush("default", prepared).result()
+                # mid-flush: the worker accepts the flush and dies on it.
+                executor.inject_kill("default", phase="mid-flush")
+                ticket = executor.submit_flush("default", prepared)
+                with pytest.raises(WorkerDiedError) as err:
+                    ticket.result()
+                assert err.value.pending == (ticket,)
+                assert executor.worker_state("default") == WORKER_RESPAWNING
+                # respawn: the next spawn fails its ready handshake.
+                executor.inject_kill("default", phase="respawn")
+                with pytest.raises(WorkerDiedError, match="respawn failed"):
+                    executor.submit_flush("default", prepared)
+                assert executor.worker_state("default") == WORKER_RESPAWNING
+                execution = executor.submit_flush("default", prepared).result()
+            finally:
+                executor.shutdown()
+        assert executor.restart_count("default") == 1
+        np.testing.assert_allclose(
+            execution.probabilities, reference.probabilities, atol=1e-7, rtol=0
+        )
+
+    def test_ticket_on_a_closed_pipe_reports_a_dead_worker(self):
+        parent_end, child_end = multiprocessing.Pipe()
+        child_end.close()
+        parent_end.close()
+        ticket = _ShardTicket(_Shard("a", None, parent_end), 1.0)
+        assert ticket.done()  # no raw OSError escapes to a polling caller
+        with pytest.raises(WorkerDiedError) as err:
+            ticket.result()
+        assert err.value.pending == (ticket,)
+
     def test_hot_swap_ships_new_plan_to_live_worker(self):
         old, new = _lstm(seed=4), _lstm(seed=9)
         rng = np.random.default_rng(2)
@@ -687,6 +742,31 @@ class TestShardSupervisor:
         assert retry_delays(0) != retry_delays(1)
         for delay in retry_delays(3):
             assert 0.0 < delay <= config.max_backoff_budget_s()
+
+    def test_jitter_is_reproducible_across_interpreter_runs(self):
+        # String hashing is salted per interpreter (PYTHONHASHSEED), so a
+        # hash()-seeded jitter RNG would make failing soaks unreplayable.
+        script = (
+            "from repro.serving.executors import ShardSupervisor, SupervisorConfig\n"
+            "from repro.utils.timing import VirtualClock\n"
+            "s = ShardSupervisor(SupervisorConfig(jitter_fraction=0.5), VirtualClock())\n"
+            "s.record_death('a')\n"
+            "print(repr(s.retry_at_s('a')))\n"
+        )
+        src = os.path.dirname(list(repro.__path__)[0])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(float(run.stdout))
+        assert outputs[0] == outputs[1]
 
     def test_unwatched_cohort_reads_as_running(self):
         supervisor, _ = self._supervisor()
