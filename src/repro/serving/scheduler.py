@@ -7,19 +7,24 @@ results go straight back into each session's ``apply_result``.  The
 engine owns everything between — per-cohort queues and batchers, the
 deadline/full-batch flush policy, in-flight tracking, worker supervision
 and plan hot-swap — shared with the stream-plane front end
-(:class:`~repro.streams.consumer.StreamConsumerScheduler`).  This module
-adds what only the in-process front end needs:
+(:class:`~repro.streams.consumer.StreamConsumerScheduler`).
 
-- session membership and :meth:`AsyncFleetScheduler.submit`, which queues
-  a window and flushes its cohort inline once the batch fills;
-- :class:`AdmissionController`, which watches the observed p95 flush
-  latency and, when it blows the configured budget, sheds a fraction of
-  incoming windows (skip-window with telemetry — sessions are degraded,
-  never blocked or crashed) until the tail latency recovers below the
-  hysteresis threshold;
-- the lock-step :meth:`AsyncFleetScheduler.tick`: every session prepared,
-  every cohort flushed, one telemetry record per tick.
-  :class:`~repro.serving.server.FleetServer` is its lock-step alias.
+The session side is written once, in :class:`SessionFleet`, which the
+stream plane's :class:`~repro.streams.producer.StreamFleetProducer` shares:
+membership, the stall/shed/reject counts every telemetry record carries,
+and the one prepare → stall → reject → admit step every submission takes.
+A window holding a NaN or inf sample is rejected there, so it never
+reaches a classifier or an actuator.  :class:`AdmissionController` watches
+the observed p95 flush latency and, when it blows the configured budget,
+sheds a fraction of incoming windows (skip-window with telemetry —
+sessions are degraded, never blocked or crashed) until the tail latency
+recovers below the hysteresis threshold.
+
+On top of that, :meth:`AsyncFleetScheduler.submit` queues a window and
+flushes its cohort inline once the batch fills, and the lock-step
+:meth:`AsyncFleetScheduler.tick` prepares every session and flushes every
+cohort, one telemetry record per tick;
+:class:`~repro.serving.server.FleetServer` is its lock-step alias.
 
 Flush *execution* is pluggable (:mod:`repro.serving.executors`): inline on
 the caller's thread (:class:`~repro.serving.executors.SerialExecutor`, the
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Any, Deque, Dict, List, Mapping, Optional, Union
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,15 +58,21 @@ from repro.serving.engine import (  # noqa: F401
 )
 from repro.serving.executors import FlushExecutor
 from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import FleetReport, FleetTickRecord, session_stats
+from repro.serving.telemetry import (
+    FleetReport,
+    FleetTickRecord,
+    SessionStats,
+    session_stats,
+)
 from repro.signals.synthetic import ParticipantProfile
-from repro.utils.timing import Clock
+from repro.utils.timing import SYSTEM_CLOCK, Clock
 
 #: Outcomes of :meth:`AsyncFleetScheduler.submit`.
 SUBMIT_QUEUED = "queued"
 SUBMIT_FLUSHED = "flushed"
 SUBMIT_STALLED = "stalled"
 SUBMIT_SHED = "shed"
+SUBMIT_REJECTED = "rejected"
 
 
 class AdmissionController:
@@ -171,8 +182,212 @@ class AdmissionController:
         return True
 
 
+class SessionFleet:
+    """The session side of a fleet front end, written once.
 
-class AsyncFleetScheduler(CohortFlushEngine):
+    Owns session membership (with the departed sessions kept for
+    end-of-run roll-ups), the :class:`AdmissionController`, per-session
+    shed/superseded/rejected counts and the counts since the last telemetry
+    record.  Every submission takes :meth:`_take_window`; admission
+    hysteresis depends on its order.  A front end resolves cohorts
+    (:meth:`_resolve_cohort`), supplies ``telemetry`` and
+    ``_record_index``, and queues (scheduler) or appends (stream producer)
+    each admitted window.
+    """
+
+    def __init__(
+        self,
+        config: Optional[CognitiveArmConfig],
+        scheduler_config: Optional[SchedulerConfig],
+        clock: Optional[Clock],
+    ) -> None:
+        self.config = config or CognitiveArmConfig()
+        self.scheduler_config = scheduler_config or SchedulerConfig()
+        self.clock = clock or SYSTEM_CLOCK
+        sched = self.scheduler_config
+        self.admission = AdmissionController(
+            sched.latency_budget_s,
+            window=sched.admission_window,
+            recovery_fraction=sched.recovery_fraction,
+            shed_ratio=sched.shed_ratio,
+            lag_budget_s=sched.stream_lag_budget_s,
+        )
+        self._sessions: Dict[str, Any] = {}
+        self._session_cohort: Dict[str, str] = {}
+        self._departed: List[Any] = []
+        self.shed_by_session: Dict[str, int] = {}
+        self.superseded_by_session: Dict[str, int] = {}
+        #: Windows refused for holding a NaN or inf sample, per session.
+        self.rejected_by_session: Dict[str, int] = {}
+        self._stalled_since_record = 0
+        self._shed_since_record = 0
+        self._rejected_since_record = 0
+
+    # ------------------------------------------------------------------ #
+    # fleet membership
+    # ------------------------------------------------------------------ #
+    @property
+    def n_sessions(self) -> int:
+        return len(self._sessions)
+
+    @property
+    def sessions(self) -> List[Any]:
+        return list(self._sessions.values())
+
+    def get_session(self, session_id: str) -> Any:
+        return self._sessions[session_id]
+
+    def cohort_of(self, session_id: str) -> str:
+        return self._session_cohort[session_id]
+
+    def _resolve_cohort(self, cohort: Optional[str]) -> str:
+        """Normalise (and validate) the cohort a session attaches to."""
+        raise NotImplementedError
+
+    def add_session(
+        self,
+        session: Optional[Any] = None,
+        *,
+        cohort: Optional[str] = None,
+        session_id: Optional[str] = None,
+        profile: Optional[ParticipantProfile] = None,
+        **session_kwargs,
+    ) -> Any:
+        """Attach a session to a cohort (building a ServingSession if needed).
+
+        The session is started immediately, so it is eligible for the very
+        next submission or tick.
+        """
+        cohort = self._resolve_cohort(cohort)
+        if session is None:
+            if session_id is None:
+                taken = set(self._sessions)
+                taken.update(s.session_id for s in self._departed)
+                session_id = next_session_id(taken)
+            session = ServingSession(
+                session_id,
+                profile=profile,
+                config=self.config,
+                clock=self.clock,
+                **session_kwargs,
+            )
+        if session.session_id in self._sessions:
+            raise ValueError(f"session {session.session_id!r} already attached")
+        self._check_session(session)
+        start = getattr(session, "start", None)
+        if start is not None:
+            start()
+        self._sessions[session.session_id] = session
+        self._session_cohort[session.session_id] = cohort
+        self.shed_by_session.setdefault(session.session_id, 0)
+        self.superseded_by_session.setdefault(session.session_id, 0)
+        self.rejected_by_session.setdefault(session.session_id, 0)
+        return session
+
+    def _check_session(self, session: Any) -> None:
+        """Refuse a session whose windows cannot stack with the fleet's."""
+        session_config = getattr(session, "config", None)
+        if session_config is not None and (
+            session_config.n_channels != self.config.n_channels
+            or session_config.window_size != self.config.window_size
+        ):
+            raise ValueError(
+                "session window/channel shape does not match the fleet; "
+                "windows from one cohort must stack into one batch"
+            )
+
+    def remove_session(self, session_id: str) -> Any:
+        """Detach a session; results still on their way to it are dropped."""
+        session = self._sessions.pop(session_id)
+        self._session_cohort.pop(session_id)
+        stop = getattr(session, "stop", None)
+        if stop is not None:
+            stop()
+        self._departed.append(session)
+        return session
+
+    def _detach_all(self) -> None:
+        for session_id in list(self._sessions):
+            self.remove_session(session_id)
+
+    # ------------------------------------------------------------------ #
+    # the admission step
+    # ------------------------------------------------------------------ #
+    def _before_admit(self) -> None:
+        """Feed the admission controller just before it decides a window."""
+
+    def _take_window(self, session_id: str) -> Tuple[str, Optional[np.ndarray]]:
+        """Prepare one session's window and decide it.
+
+        Returns ``(outcome, window)``: the window only when admitted
+        (outcome ``"queued"``); otherwise ``None`` with ``"stalled"`` (no
+        window), ``"rejected"`` (a NaN or inf sample) or ``"shed"``
+        (refused by admission control), each counted for telemetry.
+        """
+        window = self._sessions[session_id].prepare_window()
+        if window is None:
+            self._stalled_since_record += 1
+            return SUBMIT_STALLED, None
+        if not np.isfinite(window).all():
+            self.rejected_by_session[session_id] += 1
+            self._rejected_since_record += 1
+            return SUBMIT_REJECTED, None
+        self._before_admit()
+        if not self.admission.admit():
+            self.shed_by_session[session_id] += 1
+            self._shed_since_record += 1
+            return SUBMIT_SHED, None
+        return SUBMIT_QUEUED, window
+
+    # ------------------------------------------------------------------ #
+    # telemetry / reporting
+    # ------------------------------------------------------------------ #
+    def _record_fields(self, context: Any = None) -> Dict[str, Any]:
+        """Session-side fields of the next record; resets the counters."""
+        fields = {
+            "n_sessions": len(self._sessions),
+            "stalled_sessions": self._stalled_since_record,
+            "shed_sessions": self._shed_since_record,
+            "rejected_sessions": self._rejected_since_record,
+            "backlog_depth": sum(
+                getattr(s, "backlog_depth", 0) for s in self._sessions.values()
+            ),
+        }
+        self._stalled_since_record = 0
+        self._shed_since_record = 0
+        self._rejected_since_record = 0
+        return fields
+
+    def record_leftovers(self) -> None:
+        """Carry counts no record has picked up yet in one empty record.
+
+        Stalls, sheds and rejections after the last flush would otherwise
+        never reach telemetry.  The record classifies nothing, so latency
+        percentiles exclude it.
+        """
+        pending = (
+            self._stalled_since_record,
+            self._shed_since_record,
+            self._rejected_since_record,
+        )
+        if any(pending):
+            self.telemetry.record(
+                FleetTickRecord(
+                    tick_index=self._record_index,
+                    batch_size=0,
+                    batch_latency_s=0.0,
+                    flush_reason="drain",
+                    **self._record_fields(),
+                )
+            )
+            self._record_index += 1
+
+    def _session_stats(self) -> List[SessionStats]:
+        """Per-session roll-up over attached and departed sessions."""
+        return session_stats(list(self._sessions.values()) + self._departed)
+
+
+class AsyncFleetScheduler(SessionFleet, CohortFlushEngine):
     """Deadline-aware micro-batch scheduler over heterogeneous cohorts.
 
     Sessions attach with a cohort (defaulting to the router's default) and
@@ -202,103 +417,13 @@ class AsyncFleetScheduler(CohortFlushEngine):
         clock: Optional[Clock] = None,
         executor: Optional[FlushExecutor] = None,
     ) -> None:
-        super().__init__(
-            router, scheduler_config=scheduler_config, clock=clock, executor=executor
+        CohortFlushEngine.__init__(
+            self, router, scheduler_config=scheduler_config, clock=clock, executor=executor
         )
-        self.config = config or CognitiveArmConfig()
-        sched = self.scheduler_config
-        self.admission = AdmissionController(
-            sched.latency_budget_s,
-            window=sched.admission_window,
-            recovery_fraction=sched.recovery_fraction,
-            shed_ratio=sched.shed_ratio,
-            lag_budget_s=sched.stream_lag_budget_s,
-        )
-        self._sessions: Dict[str, Any] = {}
-        self._session_cohort: Dict[str, str] = {}
-        self._departed: List[Any] = []
-        self.shed_by_session: Dict[str, int] = {}
-        self.superseded_by_session: Dict[str, int] = {}
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
+        SessionFleet.__init__(self, config, self.scheduler_config, self.clock)
 
-    # ------------------------------------------------------------------ #
-    # fleet membership
-    # ------------------------------------------------------------------ #
-    @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)
-
-    @property
-    def sessions(self) -> List[Any]:
-        return list(self._sessions.values())
-
-    def get_session(self, session_id: str) -> Any:
-        return self._sessions[session_id]
-
-    def cohort_of(self, session_id: str) -> str:
-        return self._session_cohort[session_id]
-
-    def add_session(
-        self,
-        session: Optional[Any] = None,
-        *,
-        cohort: Optional[str] = None,
-        session_id: Optional[str] = None,
-        profile: Optional[ParticipantProfile] = None,
-        **session_kwargs,
-    ) -> Any:
-        """Attach a session to a cohort (building a ServingSession if needed).
-
-        The session is started immediately, so it is eligible for the very
-        next submission or tick.
-        """
-        cohort = self.router.resolve(cohort)
-        if session is None:
-            if session_id is None:
-                taken = set(self._sessions)
-                taken.update(s.session_id for s in self._departed)
-                session_id = next_session_id(taken)
-            session = ServingSession(
-                session_id,
-                profile=profile,
-                config=self.config,
-                clock=self.clock,
-                **session_kwargs,
-            )
-        if session.session_id in self._sessions:
-            raise ValueError(f"session {session.session_id!r} already attached")
-        self._check_session(session)
-        start = getattr(session, "start", None)
-        if start is not None:
-            start()
-        self._sessions[session.session_id] = session
-        self._session_cohort[session.session_id] = cohort
-        self.shed_by_session.setdefault(session.session_id, 0)
-        self.superseded_by_session.setdefault(session.session_id, 0)
-        return session
-
-    def _check_session(self, session: Any) -> None:
-        """Refuse a session whose windows cannot stack with the fleet's."""
-        session_config = getattr(session, "config", None)
-        if session_config is not None and (
-            session_config.n_channels != self.config.n_channels
-            or session_config.window_size != self.config.window_size
-        ):
-            raise ValueError(
-                "session window/channel shape does not match the fleet; "
-                "windows from one cohort must stack into one batch"
-            )
-
-    def remove_session(self, session_id: str) -> Any:
-        """Detach a session; queued windows for it are flushed normally later."""
-        session = self._sessions.pop(session_id)
-        self._session_cohort.pop(session_id)
-        stop = getattr(session, "stop", None)
-        if stop is not None:
-            stop()
-        self._departed.append(session)
-        return session
+    def _resolve_cohort(self, cohort: Optional[str]) -> str:
+        return self.router.resolve(cohort)
 
     # ------------------------------------------------------------------ #
     # asynchronous submission path
@@ -309,8 +434,9 @@ class AsyncFleetScheduler(CohortFlushEngine):
         Returns one of ``"queued"``, ``"flushed"`` (the submission filled the
         cohort batch and triggered an inline flush, retrievable as
         :attr:`last_flush_event`), ``"stalled"`` (the session produced no
-        window) or ``"shed"`` (refused by admission control; the window is
-        skipped with telemetry, the session keeps running).
+        window), ``"rejected"`` (the window held a NaN or inf sample and was
+        dropped unclassified) or ``"shed"`` (refused by admission control;
+        the window is skipped with telemetry, the session keeps running).
 
         Every window shares the configured ``deadline_s``; a uniform
         deadline is what keeps each cohort queue due-ordered (it is FIFO by
@@ -326,15 +452,9 @@ class AsyncFleetScheduler(CohortFlushEngine):
         submission queues instead (double-flushes are refused) and the
         backlog flushes as soon as the in-flight one is harvested.
         """
-        session = self._sessions[session_id]
-        window = session.prepare_window()
+        outcome, window = self._take_window(session_id)
         if window is None:
-            self._stalled_since_flush += 1
-            return SUBMIT_STALLED
-        if not self.admission.admit():
-            self.shed_by_session[session_id] += 1
-            self._shed_since_flush += 1
-            return SUBMIT_SHED
+            return outcome
         cohort = self._session_cohort[session_id]
         self._enqueue(cohort, session_id, window, self.clock.now())
         event = self._flush_if_full(cohort)
@@ -349,11 +469,7 @@ class AsyncFleetScheduler(CohortFlushEngine):
         executor, so after ``drain()`` no window and no future is pending.
         """
         events = super().drain()
-        if self._shed_since_flush or self._stalled_since_flush:
-            # Sheds/stalls after the last flush would otherwise never reach
-            # telemetry; emit an empty record to carry the counters (empty
-            # records are excluded from latency percentiles).
-            self._record("", "drain")
+        self.record_leftovers()
         return events
 
     # ------------------------------------------------------------------ #
@@ -372,19 +488,6 @@ class AsyncFleetScheduler(CohortFlushEngine):
         self.admission.observe(result.latency_s)
         return ticks
 
-    def _record_fields(self, context: Any) -> Dict[str, Any]:
-        fields = {
-            "n_sessions": len(self._sessions),
-            "stalled_sessions": self._stalled_since_flush,
-            "shed_sessions": self._shed_since_flush,
-            "backlog_depth": sum(
-                getattr(s, "backlog_depth", 0) for s in self._sessions.values()
-            ),
-        }
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
-        return fields
-
     def _on_superseded(self, cohort: str, stale: QueuedWindow) -> None:
         self.superseded_by_session[stale.session_id] += 1
 
@@ -399,8 +502,10 @@ class AsyncFleetScheduler(CohortFlushEngine):
 
         Every attached session is prepared in insertion order and every
         cohort is flushed immediately (chunked at ``max_batch_size``) — no
-        queueing, no deadlines, and admission control still applies.  The
-        whole tick is one telemetry record with reason ``"tick"``.
+        queueing, no deadlines; admission control and the non-finite
+        window check still apply.  The whole tick is one telemetry record
+        with reason ``"tick"``, which also carries stalls and sheds from
+        ``submit()`` calls that never led to a flush.
 
         The lock-step and asynchronous entry points must not interleave on
         one instance: windows queued via :meth:`submit` would be applied out
@@ -412,26 +517,13 @@ class AsyncFleetScheduler(CohortFlushEngine):
                 "lock-step tick() cannot run with windows queued via "
                 "submit() or flushes in flight; call drain() (or pump()) first"
             )
-        sessions = list(self._sessions.values())
-        # Fold in stalls/sheds from submit() calls that never led to a flush
-        # (their windows were stalled or shed, so nothing was ever queued).
-        stalled = self._stalled_since_flush
-        shed = self._shed_since_flush
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
         prepare_started = self.clock.now()
-        for session in sessions:
-            window = session.prepare_window()
-            if window is None:
-                stalled += 1
-                continue
-            if not self.admission.admit():
-                self.shed_by_session[session.session_id] += 1
-                shed += 1
-                continue
-            self._batchers[self._session_cohort[session.session_id]].submit(
-                session.session_id, window
-            )
+        for session_id in list(self._sessions):
+            _, window = self._take_window(session_id)
+            if window is not None:
+                self._batchers[self._session_cohort[session_id]].submit(
+                    session_id, window
+                )
         prepare_latency_s = self.clock.now() - prepare_started
         ticks: Dict[str, Any] = {}
         batch_size = 0
@@ -451,27 +543,17 @@ class AsyncFleetScheduler(CohortFlushEngine):
                 # independent service events, not one combined latency.
                 self.admission.observe(result.latency_s)
                 specialized_flags.append(result.specialized)
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._record_index,
-                n_sessions=len(sessions),
-                batch_size=batch_size,
-                stalled_sessions=stalled,
-                batch_latency_s=latency_s,
-                backlog_depth=sum(
-                    getattr(s, "backlog_depth", 0) for s in sessions
-                ),
-                shed_sessions=shed,
-                flush_reason="tick",
-                prepare_latency_s=prepare_latency_s,
-                # The record's contract is "every classifier call hit an
-                # arena": all non-empty cohort flushes must agree.
-                specialized=bool(specialized_flags) and all(specialized_flags),
-            )
+        self._record(
+            "",
+            "tick",
+            batch_size=batch_size,
+            latency_s=latency_s,
+            prepare_latency_s=prepare_latency_s,
+            # The record's contract is "every classifier call hit an
+            # arena": all non-empty cohort flushes must agree.
+            specialized=bool(specialized_flags) and all(specialized_flags),
         )
-        self._record_index += 1
         return ticks
-
 
     # ------------------------------------------------------------------ #
     # reporting / lifecycle
@@ -479,10 +561,8 @@ class AsyncFleetScheduler(CohortFlushEngine):
     def shutdown(self) -> None:
         """Drain pending work, stop the executor, then every session."""
         super().shutdown()
-        for session_id in list(self._sessions):
-            self.remove_session(session_id)
+        self._detach_all()
 
     def report(self) -> FleetReport:
         """Fleet summary over attached and departed sessions."""
-        everyone = list(self._sessions.values()) + self._departed
-        return replace(super().report(), sessions=session_stats(everyone))
+        return replace(super().report(), sessions=self._session_stats())

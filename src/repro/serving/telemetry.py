@@ -32,7 +32,7 @@ class FleetTickRecord:
     #: Total label periods of work queued behind stalled sessions.
     backlog_depth: int
     #: Windows refused by admission control since the previous record
-    #: (scheduler only; lock-step fleets never shed).
+    #: (0 on stream-consumer records; sessions are admitted producer-side).
     shed_sessions: int = 0
     #: Queued windows whose flush started after their deadline had passed.
     deadline_violations: int = 0
@@ -76,6 +76,9 @@ class FleetTickRecord:
     #: every session's window before flushing; 0.0 on asynchronous flush
     #: records, whose windows are prepared in ``submit``.
     prepare_latency_s: float = 0.0
+    #: Windows refused since the previous record for holding a NaN or inf
+    #: sample; they are never classified.
+    rejected_sessions: int = 0
 
 
 @dataclass
@@ -182,15 +185,16 @@ class FleetTelemetry:
         """Fraction of submission opportunities lost to stalls.
 
         The denominator counts each submission exactly once across the run:
-        classified windows (``batch_size``), stalls and sheds.  For lock-step
-        fleets this equals the old per-tick ``n_sessions`` sum; for the
-        async scheduler — where one flush record accumulates stalls from
-        many ``submit()`` rounds — it keeps the rate a true fraction (the
-        per-record ``n_sessions`` snapshot would undercount and let the
-        rate exceed 1.0).
+        classified windows (``batch_size``), stalls, sheds and rejected
+        (non-finite) windows.  For lock-step fleets this equals the old
+        per-tick ``n_sessions`` sum; for the async scheduler — where one
+        flush record accumulates stalls from many ``submit()`` rounds — it
+        keeps the rate a true fraction (the per-record ``n_sessions``
+        snapshot would undercount and let the rate exceed 1.0).
         """
         opportunities = sum(
-            r.batch_size + r.stalled_sessions + r.shed_sessions for r in self.records
+            r.batch_size + r.stalled_sessions + r.shed_sessions + r.rejected_sessions
+            for r in self.records
         )
         if opportunities == 0:
             return 0.0
@@ -334,6 +338,7 @@ class FleetTelemetry:
             "max_backlog_depth": float(self.max_backlog_depth()),
             "stall_rate": self.stall_rate(),
             "shed_windows": float(self.total_shed),
+            "rejected_windows": float(sum(r.rejected_sessions for r in self.records)),
             "deadline_violations": float(self.total_deadline_violations),
             "max_queue_wait_s": self.max_queue_wait_s(),
             "max_executor_wait_s": self.max_executor_wait_s(),

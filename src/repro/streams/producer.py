@@ -1,8 +1,11 @@
 """Producer side of the streaming data plane.
 
-A :class:`StreamFleetProducer` owns the sessions — exactly the role
-:class:`~repro.serving.scheduler.AsyncFleetScheduler` plays in the direct
-configuration — but instead of queueing windows locally it appends
+A :class:`StreamFleetProducer` is a
+:class:`~repro.serving.scheduler.SessionFleet`: it inherits session
+membership, admission control, the prepare → stall → reject → admit step
+and the stall/shed/reject accounting from the same base class as
+:class:`~repro.serving.scheduler.AsyncFleetScheduler`.  What it adds is the
+stream: instead of queueing admitted windows locally it appends them as
 :class:`~repro.streams.messages.WindowSubmission` entries to per-cohort
 :class:`~repro.streams.stream.WindowStream` logs and lets one or more
 :class:`~repro.streams.consumer.StreamConsumerScheduler` processes drain
@@ -11,11 +14,11 @@ them.  Results come back on the topology's result stream as
 routes each probability row to its session's ``apply_result``, folds the
 flush into fleet telemetry and feeds the admission controller.
 
-Admission control runs producer-side, where submissions originate: the
-controller sees flush service times *and* the upstream stream lag
-(:meth:`~repro.serving.scheduler.AdmissionController.observe_lag` per
-submission round), so a slow consumer sheds load before the log grows
-unbounded — lag never shows up in flush-latency percentiles.
+Before each admission decision the producer feeds the controller the
+current upstream stream lag
+(:meth:`~repro.serving.scheduler.AdmissionController.observe_lag`), so a
+slow consumer sheds load before the log grows unbounded — lag never shows
+up in flush-latency percentiles.
 
 Conservation contract: every admitted window is eventually accounted for in
 exactly one ``FlushResult`` — as a served row, or by ``(session_id,
@@ -30,20 +33,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import CognitiveArmConfig
 from repro.serving.scheduler import (
+    SUBMIT_FLUSHED,
     SUBMIT_QUEUED,
-    SUBMIT_SHED,
-    SUBMIT_STALLED,
     AdmissionController,
     SchedulerConfig,
+    SessionFleet,
 )
-from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import (
-    FleetReport,
-    FleetTelemetry,
-    FleetTickRecord,
-    session_stats,
-)
-from repro.signals.synthetic import ParticipantProfile
+from repro.serving.telemetry import FleetReport, FleetTelemetry, FleetTickRecord
 from repro.streams.consumer import SCHEDULER_GROUP
 from repro.streams.messages import FlushResult, WindowSubmission
 from repro.streams.topology import StreamTopology
@@ -53,8 +49,16 @@ from repro.utils.timing import SYSTEM_CLOCK, Clock
 PRODUCER_GROUP = "producer"
 
 
-class StreamFleetProducer:
-    """Session owner that feeds cohort streams and harvests result flushes.
+class StreamFleetProducer(SessionFleet):
+    """Session fleet that feeds cohort streams and harvests result flushes.
+
+    Membership, admission and stall/shed/reject accounting are the
+    inherited :class:`~repro.serving.scheduler.SessionFleet`; this class
+    owns the stream append, per-session sequences, result harvesting and
+    the conservation counters (``submitted``, ``labels_applied``,
+    ``superseded_count``).  A cohort's stream is created when the first
+    session attaches to it; there is no router to validate against — the
+    consumer that owns the cohort stream does the routing.
 
     Parameters
     ----------
@@ -93,54 +97,20 @@ class StreamFleetProducer:
         consumer_group: str = SCHEDULER_GROUP,
         trace_sessions: bool = False,
     ) -> None:
+        super().__init__(config, scheduler_config, clock or topology.clock)
         self.topology = topology
-        self.config = config or CognitiveArmConfig()
-        self.scheduler_config = scheduler_config or SchedulerConfig()
-        self.clock = clock or topology.clock or SYSTEM_CLOCK
         self.group = str(group)
         self.consumer = str(consumer)
         self.consumer_group = str(consumer_group)
         self.trace_sessions = bool(trace_sessions)
-        sched = self.scheduler_config
-        self.admission = AdmissionController(
-            sched.latency_budget_s,
-            window=sched.admission_window,
-            recovery_fraction=sched.recovery_fraction,
-            shed_ratio=sched.shed_ratio,
-            lag_budget_s=sched.stream_lag_budget_s,
-        )
         self.telemetry = FleetTelemetry()
         self.result_stream = topology.result_stream
         self.result_stream.create_group(self.group, exists_ok=True)
-        self._sessions: Dict[str, Any] = {}
-        self._session_cohort: Dict[str, str] = {}
         self._sequences: Dict[str, int] = {}
-        self._departed: List[Any] = []
-        self.shed_by_session: Dict[str, int] = {}
-        self.superseded_by_session: Dict[str, int] = {}
         self.submitted = 0
         self.labels_applied = 0
         self.superseded_count = 0
         self._record_index = 0
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
-
-    # ------------------------------------------------------------------ #
-    # fleet membership (mirrors AsyncFleetScheduler)
-    # ------------------------------------------------------------------ #
-    @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)
-
-    @property
-    def sessions(self) -> List[Any]:
-        return list(self._sessions.values())
-
-    def get_session(self, session_id: str) -> Any:
-        return self._sessions[session_id]
-
-    def cohort_of(self, session_id: str) -> str:
-        return self._session_cohort[session_id]
 
     @property
     def cohorts(self) -> Tuple[str, ...]:
@@ -150,64 +120,10 @@ class StreamFleetProducer:
             seen.setdefault(cohort)
         return tuple(seen)
 
-    def add_session(
-        self,
-        session: Optional[Any] = None,
-        *,
-        cohort: str = "default",
-        session_id: Optional[str] = None,
-        profile: Optional[ParticipantProfile] = None,
-        **session_kwargs,
-    ) -> Any:
-        """Attach a session to a cohort (building a ServingSession if needed).
-
-        The cohort's stream is created on first use; unlike the direct
-        scheduler there is no router to validate against — the consumer that
-        owns the cohort stream does the routing.
-        """
-        if session is None:
-            if session_id is None:
-                taken = set(self._sessions)
-                taken.update(s.session_id for s in self._departed)
-                session_id = next_session_id(taken)
-            session = ServingSession(
-                session_id,
-                profile=profile,
-                config=self.config,
-                clock=self.clock,
-                **session_kwargs,
-            )
-        if session.session_id in self._sessions:
-            raise ValueError(f"session {session.session_id!r} already attached")
-        session_config = getattr(session, "config", None)
-        if session_config is not None and (
-            session_config.n_channels != self.config.n_channels
-            or session_config.window_size != self.config.window_size
-        ):
-            raise ValueError(
-                "session window/channel shape does not match the fleet; "
-                "windows from one cohort must stack into one batch"
-            )
+    def _resolve_cohort(self, cohort: Optional[str]) -> str:
+        cohort = "default" if cohort is None else cohort
         self.topology.cohort_stream(cohort)  # create before first submit
-        start = getattr(session, "start", None)
-        if start is not None:
-            start()
-        self._sessions[session.session_id] = session
-        self._session_cohort[session.session_id] = cohort
-        self._sequences.setdefault(session.session_id, 0)
-        self.shed_by_session.setdefault(session.session_id, 0)
-        self.superseded_by_session.setdefault(session.session_id, 0)
-        return session
-
-    def remove_session(self, session_id: str) -> Any:
-        """Detach a session; in-flight results for it are dropped on harvest."""
-        session = self._sessions.pop(session_id)
-        self._session_cohort.pop(session_id)
-        stop = getattr(session, "stop", None)
-        if stop is not None:
-            stop()
-        self._departed.append(session)
-        return session
+        return cohort
 
     # ------------------------------------------------------------------ #
     # submission
@@ -225,27 +141,23 @@ class StreamFleetProducer:
                 lag = max(lag, stream.lag_s(self.consumer_group))
         return lag
 
+    def _before_admit(self) -> None:
+        self.admission.observe_lag(self.stream_lag_s())
+
     def submit(self, session_id: str) -> str:
         """Prepare one session's window and append it to its cohort stream.
 
-        Returns ``"queued"``, ``"stalled"`` or ``"shed"`` — the streaming
-        plane never flushes inline, so ``"flushed"`` cannot occur.  Each
-        submission first feeds the current stream lag to the admission
-        controller, so shedding can begin between flushes when consumers
-        fall behind.
+        Returns ``"queued"``, ``"stalled"``, ``"rejected"`` or ``"shed"`` —
+        the streaming plane never flushes inline, so ``"flushed"`` cannot
+        occur.  Each admission decision first feeds the current stream lag
+        to the admission controller, so shedding can begin between flushes
+        when consumers fall behind.
         """
-        session = self._sessions[session_id]
-        window = session.prepare_window()
+        outcome, window = self._take_window(session_id)
         if window is None:
-            self._stalled_since_flush += 1
-            return SUBMIT_STALLED
-        self.admission.observe_lag(self.stream_lag_s())
-        if not self.admission.admit():
-            self.shed_by_session[session_id] += 1
-            self._shed_since_flush += 1
-            return SUBMIT_SHED
+            return outcome
         cohort = self._session_cohort[session_id]
-        sequence = self._sequences[session_id]
+        sequence = self._sequences.get(session_id, 0)
         self._sequences[session_id] = sequence + 1
         submission = WindowSubmission(
             session_id=session_id,
@@ -306,14 +218,8 @@ class StreamFleetProducer:
         self.telemetry.record(
             FleetTickRecord(
                 tick_index=self._record_index,
-                n_sessions=len(self._sessions),
                 batch_size=n_rows,
-                stalled_sessions=self._stalled_since_flush,
                 batch_latency_s=result.service_s,
-                backlog_depth=sum(
-                    getattr(s, "backlog_depth", 0) for s in self._sessions.values()
-                ),
-                shed_sessions=self._shed_since_flush,
                 deadline_violations=result.deadline_violations,
                 max_queue_wait_s=result.max_queue_wait_s,
                 flush_reason=result.reason,
@@ -329,11 +235,10 @@ class StreamFleetProducer:
                 completed_at_s=self.clock.now(),
                 stream_lag_s=result.stream_lag_s,
                 stream_depth=result.stream_depth,
+                **self._record_fields(),
             )
         )
         self._record_index += 1
-        self._stalled_since_flush = 0
-        self._shed_since_flush = 0
         if n_rows > 0:
             self.admission.observe(result.service_s, stream_lag_s=result.stream_lag_s)
 
@@ -346,21 +251,20 @@ class StreamFleetProducer:
 
     def report(self) -> FleetReport:
         """Fleet summary over attached and departed sessions."""
-        everyone = list(self._sessions.values()) + self._departed
         return FleetReport(
             ticks=self._record_index,
             fleet=self.telemetry.summary(),
-            sessions=session_stats(everyone),
+            sessions=self._session_stats(),
             cohorts=self.telemetry.cohort_breakdown(),
             workers=self.telemetry.worker_breakdown(),
             specialization={},
         )
 
     def shutdown(self) -> None:
-        """Harvest outstanding results and stop every session."""
+        """Harvest outstanding results, record leftovers, stop every session."""
         self.harvest_results()
-        for session_id in list(self._sessions):
-            self.remove_session(session_id)
+        self.record_leftovers()
+        self._detach_all()
 
 
 class StreamDuplex:
@@ -456,14 +360,14 @@ class StreamDuplex:
 
         Returns the scheduler-compatible outcome: ``"flushed"`` when the
         poll triggered an inline full-batch flush, otherwise the producer's
-        verdict (``"queued"``, ``"stalled"`` or ``"shed"``).
+        verdict (``"queued"``, ``"stalled"``, ``"rejected"`` or ``"shed"``).
         """
         outcome = self.producer.submit(session_id)
         if outcome != SUBMIT_QUEUED:
             return outcome
         events = self.consumer.poll()
         self.producer.harvest_results()
-        return "flushed" if events else SUBMIT_QUEUED
+        return SUBMIT_FLUSHED if events else SUBMIT_QUEUED
 
     def next_flush_due_s(self) -> Optional[float]:
         return self.consumer.next_flush_due_s()
@@ -478,6 +382,7 @@ class StreamDuplex:
         self.consumer.poll()
         events = self.consumer.drain()
         self.producer.harvest_results()
+        self.producer.record_leftovers()
         return events
 
     def report(self) -> FleetReport:
