@@ -47,7 +47,7 @@ from repro.serving.executors import (
     WorkerDiedError,
     WorkerRespawnPending,
 )
-from repro.serving.telemetry import FleetReport, FleetTelemetry, FleetTickRecord
+from repro.serving.telemetry import FleetReport, FleetTelemetry
 from repro.utils.timing import SYSTEM_CLOCK, Clock
 
 #: Tolerance when deciding whether a flush started past a window's deadline,
@@ -308,7 +308,6 @@ class CohortFlushEngine:
         self.worker_deaths = 0
         #: Plan hot-swaps completed through :meth:`swap_plan`.
         self.plan_swaps = 0
-        self._record_index = 0
         #: Most recent flush (any trigger) — the only handle on a flush that
         #: happened inline when a batch filled.
         self.last_flush_event: Optional[FlushEvent] = None
@@ -864,20 +863,16 @@ class CohortFlushEngine:
         **fields: Any,
     ) -> None:
         """Append one telemetry record (front-end fields from the hook)."""
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._record_index,
-                batch_size=batch_size,
-                batch_latency_s=latency_s,
-                deadline_violations=violations,
-                max_queue_wait_s=max_wait,
-                flush_reason=reason,
-                cohort=cohort,
-                **fields,
-                **self._record_fields(context),
-            )
+        self.telemetry.append(
+            batch_size=batch_size,
+            batch_latency_s=latency_s,
+            deadline_violations=violations,
+            max_queue_wait_s=max_wait,
+            flush_reason=reason,
+            cohort=cohort,
+            **fields,
+            **self._record_fields(context),
         )
-        self._record_index += 1
 
     # ------------------------------------------------------------------ #
     # plan hot-swap / fleet health
@@ -983,7 +978,7 @@ class CohortFlushEngine:
     def report(self) -> FleetReport:
         """Flush-side fleet summary (no per-session roll-ups)."""
         return FleetReport(
-            ticks=self._record_index,
+            ticks=len(self.telemetry.records),
             fleet=self.telemetry.summary(),
             cohorts=self.telemetry.cohort_breakdown(),
             workers=self.telemetry.worker_breakdown(),

@@ -13,8 +13,9 @@ The session side is written once, in :class:`SessionFleet`, which the
 stream plane's :class:`~repro.streams.producer.StreamFleetProducer` shares:
 membership, the stall/shed/reject counts every telemetry record carries,
 and the one prepare → stall → reject → admit step every submission takes.
-A window holding a NaN or inf sample is rejected there, so it never
-reaches a classifier or an actuator.  :class:`AdmissionController` watches
+A window holding a NaN or inf sample is rejected there: it is never
+queued or classified, and its session gets an idle hold label in its
+place, so the arm does not move.  :class:`AdmissionController` watches
 the observed p95 flush latency and, when it blows the configured budget,
 sheds a fraction of incoming windows (skip-window with telemetry —
 sessions are degraded, never blocked or crashed) until the tail latency
@@ -58,13 +59,8 @@ from repro.serving.engine import (  # noqa: F401
 )
 from repro.serving.executors import FlushExecutor
 from repro.serving.session import ServingSession, next_session_id
-from repro.serving.telemetry import (
-    FleetReport,
-    FleetTickRecord,
-    SessionStats,
-    session_stats,
-)
-from repro.signals.synthetic import ParticipantProfile
+from repro.serving.telemetry import FleetReport, SessionStats, session_stats
+from repro.signals.synthetic import ACTIONS, ParticipantProfile
 from repro.utils.timing import SYSTEM_CLOCK, Clock
 
 #: Outcomes of :meth:`AsyncFleetScheduler.submit`.
@@ -190,9 +186,8 @@ class SessionFleet:
     shed/superseded/rejected counts and the counts since the last telemetry
     record.  Every submission takes :meth:`_take_window`; admission
     hysteresis depends on its order.  A front end resolves cohorts
-    (:meth:`_resolve_cohort`), supplies ``telemetry`` and
-    ``_record_index``, and queues (scheduler) or appends (stream producer)
-    each admitted window.
+    (:meth:`_resolve_cohort`), supplies ``telemetry``, and queues
+    (scheduler) or appends (stream producer) each admitted window.
     """
 
     def __init__(
@@ -258,7 +253,6 @@ class SessionFleet:
         The session is started immediately, so it is eligible for the very
         next submission or tick.
         """
-        cohort = self._resolve_cohort(cohort)
         if session is None:
             if session_id is None:
                 taken = set(self._sessions)
@@ -274,6 +268,7 @@ class SessionFleet:
         if session.session_id in self._sessions:
             raise ValueError(f"session {session.session_id!r} already attached")
         self._check_session(session)
+        cohort = self._resolve_cohort(cohort)
         start = getattr(session, "start", None)
         if start is not None:
             start()
@@ -323,14 +318,21 @@ class SessionFleet:
         (outcome ``"queued"``); otherwise ``None`` with ``"stalled"`` (no
         window), ``"rejected"`` (a NaN or inf sample) or ``"shed"``
         (refused by admission control), each counted for telemetry.
+
+        A rejected window is answered at once with a row of NaN
+        probabilities instead of a classification.  The session's fail-safe
+        turns that row into an idle, zero-confidence label, so the arm
+        holds and the session still gets one label per window it prepared.
         """
-        window = self._sessions[session_id].prepare_window()
+        session = self._sessions[session_id]
+        window = session.prepare_window()
         if window is None:
             self._stalled_since_record += 1
             return SUBMIT_STALLED, None
         if not np.isfinite(window).all():
             self.rejected_by_session[session_id] += 1
             self._rejected_since_record += 1
+            session.apply_result(np.full(len(ACTIONS), np.nan))
             return SUBMIT_REJECTED, None
         self._before_admit()
         if not self.admission.admit():
@@ -371,16 +373,12 @@ class SessionFleet:
             self._rejected_since_record,
         )
         if any(pending):
-            self.telemetry.record(
-                FleetTickRecord(
-                    tick_index=self._record_index,
-                    batch_size=0,
-                    batch_latency_s=0.0,
-                    flush_reason="drain",
-                    **self._record_fields(),
-                )
+            self.telemetry.append(
+                batch_size=0,
+                batch_latency_s=0.0,
+                flush_reason="drain",
+                **self._record_fields(),
             )
-            self._record_index += 1
 
     def _session_stats(self) -> List[SessionStats]:
         """Per-session roll-up over attached and departed sessions."""
@@ -434,8 +432,8 @@ class AsyncFleetScheduler(SessionFleet, CohortFlushEngine):
         Returns one of ``"queued"``, ``"flushed"`` (the submission filled the
         cohort batch and triggered an inline flush, retrievable as
         :attr:`last_flush_event`), ``"stalled"`` (the session produced no
-        window), ``"rejected"`` (the window held a NaN or inf sample and was
-        dropped unclassified) or ``"shed"`` (refused by admission control;
+        window), ``"rejected"`` (the window held a NaN or inf sample; it is
+        not classified and the session gets an idle hold label) or ``"shed"`` (refused by admission control;
         the window is skipped with telemetry, the session keeps running).
 
         Every window shares the configured ``deadline_s``; a uniform
@@ -503,9 +501,10 @@ class AsyncFleetScheduler(SessionFleet, CohortFlushEngine):
         Every attached session is prepared in insertion order and every
         cohort is flushed immediately (chunked at ``max_batch_size``) — no
         queueing, no deadlines; admission control and the non-finite
-        window check still apply.  The whole tick is one telemetry record
-        with reason ``"tick"``, which also carries stalls and sheds from
-        ``submit()`` calls that never led to a flush.
+        window check still apply (a rejected session's hold label is applied
+        while preparing and is not in the returned dict).  The whole tick is
+        one telemetry record with reason ``"tick"``, which also carries
+        stalls and sheds from ``submit()`` calls that never led to a flush.
 
         The lock-step and asynchronous entry points must not interleave on
         one instance: windows queued via :meth:`submit` would be applied out

@@ -126,6 +126,12 @@ class FleetTelemetry:
     def record(self, record: FleetTickRecord) -> None:
         self.records.append(record)
 
+    def append(self, **fields) -> FleetTickRecord:
+        """Record a new :class:`FleetTickRecord`, numbered in arrival order."""
+        record = FleetTickRecord(tick_index=len(self.records), **fields)
+        self.records.append(record)
+        return record
+
     # ------------------------------------------------------------------ #
     # aggregates
     # ------------------------------------------------------------------ #

@@ -39,7 +39,7 @@ from repro.serving.scheduler import (
     SchedulerConfig,
     SessionFleet,
 )
-from repro.serving.telemetry import FleetReport, FleetTelemetry, FleetTickRecord
+from repro.serving.telemetry import FleetReport, FleetTelemetry
 from repro.streams.consumer import SCHEDULER_GROUP
 from repro.streams.messages import FlushResult, WindowSubmission
 from repro.streams.topology import StreamTopology
@@ -110,7 +110,6 @@ class StreamFleetProducer(SessionFleet):
         self.submitted = 0
         self.labels_applied = 0
         self.superseded_count = 0
-        self._record_index = 0
 
     @property
     def cohorts(self) -> Tuple[str, ...]:
@@ -215,30 +214,26 @@ class StreamFleetProducer(SessionFleet):
                 self.superseded_by_session[session_id] += 1
         if n_rows == 0 and not result.superseded:
             return
-        self.telemetry.record(
-            FleetTickRecord(
-                tick_index=self._record_index,
-                batch_size=n_rows,
-                batch_latency_s=result.service_s,
-                deadline_violations=result.deadline_violations,
-                max_queue_wait_s=result.max_queue_wait_s,
-                flush_reason=result.reason,
-                cohort=result.cohort,
-                # Attribute to the scheduler process *and* its executor lane:
-                # two consumers both flushing on "serial" must not merge in
-                # the per-worker breakdown.
-                worker=(
-                    f"{result.consumer}/{result.worker}"
-                    if result.consumer and result.worker
-                    else result.consumer or result.worker
-                ),
-                completed_at_s=self.clock.now(),
-                stream_lag_s=result.stream_lag_s,
-                stream_depth=result.stream_depth,
-                **self._record_fields(),
-            )
+        self.telemetry.append(
+            batch_size=n_rows,
+            batch_latency_s=result.service_s,
+            deadline_violations=result.deadline_violations,
+            max_queue_wait_s=result.max_queue_wait_s,
+            flush_reason=result.reason,
+            cohort=result.cohort,
+            # Attribute to the scheduler process *and* its executor lane:
+            # two consumers both flushing on "serial" must not merge in
+            # the per-worker breakdown.
+            worker=(
+                f"{result.consumer}/{result.worker}"
+                if result.consumer and result.worker
+                else result.consumer or result.worker
+            ),
+            completed_at_s=self.clock.now(),
+            stream_lag_s=result.stream_lag_s,
+            stream_depth=result.stream_depth,
+            **self._record_fields(),
         )
-        self._record_index += 1
         if n_rows > 0:
             self.admission.observe(result.service_s, stream_lag_s=result.stream_lag_s)
 
@@ -252,7 +247,7 @@ class StreamFleetProducer(SessionFleet):
     def report(self) -> FleetReport:
         """Fleet summary over attached and departed sessions."""
         return FleetReport(
-            ticks=self._record_index,
+            ticks=len(self.telemetry.records),
             fleet=self.telemetry.summary(),
             sessions=self._session_stats(),
             cohorts=self.telemetry.cohort_breakdown(),

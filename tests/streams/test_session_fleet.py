@@ -6,7 +6,8 @@ the stream plane's ``StreamFleetProducer`` (driven here through
 the stall/shed/reject accounting.  These tests pin the behaviour that must
 come out the same on every path: counts left over after the last flush
 reach telemetry, and a window holding a NaN or inf sample is rejected
-before it can be queued, classified or actuated.
+before it can be queued or classified; its session gets an idle hold label
+and the arm does not move.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.arm.kinematics import JointState
 from repro.core.config import CognitiveArmConfig
 from repro.serving import FleetServer, ServingSession
 from repro.serving.scheduler import AsyncFleetScheduler, SchedulerConfig
-from repro.streams import StreamDuplex
+from repro.streams import StreamDuplex, StreamFleetProducer, StreamTopology
 
 CONFIG = CognitiveArmConfig(
     window_size=100,
@@ -133,7 +134,8 @@ NON_FINITE = pytest.mark.parametrize(
 class TestNonFiniteWindows:
     def check_rejected(self, fleet, classifier, bad, good):
         assert classifier.batch_sizes == [1]  # only the healthy window ran
-        assert bad.labels_emitted() == 0
+        (hold,) = bad.ticks  # answered with a hold label, not a classification
+        assert (hold.action, hold.confidence) == ("idle", 0.0)
         assert bad.controller.arm.trajectory == [JointState()]  # never moved
         assert good.labels_emitted() == 1
         assert sessions_of(fleet).rejected_by_session == {"bad": 1, "good": 0}
@@ -178,3 +180,11 @@ class TestNonFiniteWindows:
         fleet.drain()
         # one stall out of two opportunities, not one out of one
         assert fleet.telemetry.stall_rate() == pytest.approx(0.5)
+
+
+def test_a_refused_session_creates_no_cohort_stream():
+    producer = StreamFleetProducer(StreamTopology(clock=FakeClock()), CONFIG)
+    producer.add_session(ScriptedSession("s0"), cohort="a")
+    with pytest.raises(ValueError, match="already attached"):
+        producer.add_session(ScriptedSession("s0"), cohort="b")
+    assert producer.topology.cohorts == ("a",)

@@ -87,10 +87,16 @@ def play(schedule, factory):
     for spec in schedule["sessions"]:
         join(spec)
     outcomes = []
+    admitted = {}  # windows queued per session
+    rows_at_leave = {}  # rows a departed session had received when it left
     for op, arg in schedule["ops"]:
         attached = [s.session_id for s in fleet.sessions]
         if op == "submit" and attached:
-            outcomes.append(fleet.submit(attached[arg % len(attached)]))
+            session_id = attached[arg % len(attached)]
+            outcome = fleet.submit(session_id)
+            outcomes.append(outcome)
+            if outcome in ("queued", "flushed"):
+                admitted[session_id] = admitted.get(session_id, 0) + 1
         elif op == "advance":
             clock.advance(arg)
         elif op == "pump":
@@ -98,12 +104,15 @@ def play(schedule, factory):
         elif op == "join":
             join(arg)
         elif op == "leave" and attached:
-            fleet.remove_session(attached[arg % len(attached)])
+            session = fleet.remove_session(attached[arg % len(attached)])
+            rows_at_leave[session.session_id] = len(session.applied)
     fleet.drain()
     owner = fleet.producer if isinstance(fleet, StreamDuplex) else fleet
     records = fleet.telemetry.records
     return {
         "outcomes": outcomes,
+        "admitted": admitted,
+        "rows_at_leave": rows_at_leave,
         "labels": fleet.telemetry.total_labels,
         "rows": {s.session_id: [probs for probs, _ in s.applied] for s in everyone},
         "stalled": sum(r.stalled_sessions for r in records),
@@ -113,6 +122,11 @@ def play(schedule, factory):
         "superseded_by_session": owner.superseded_by_session,
         "rejected_by_session": owner.rejected_by_session,
     }
+
+
+def classified(rows):
+    """Rows a classifier produced; a rejected window's hold row is all NaN."""
+    return sum(bool(np.isfinite(row).all()) for row in rows)
 
 
 @given(schedules)
@@ -126,7 +140,6 @@ def test_scheduler_and_stream_plane_serve_the_same_fleet(schedule):
         assert len(rows) == len(streamed["rows"][session_id])
         for left, right in zip(rows, streamed["rows"][session_id]):
             np.testing.assert_allclose(left, right, atol=1e-12)
-            assert np.isfinite(left).all()
     for key in (
         "stalled",
         "shed",
@@ -134,6 +147,7 @@ def test_scheduler_and_stream_plane_serve_the_same_fleet(schedule):
         "shed_by_session",
         "superseded_by_session",
         "rejected_by_session",
+        "rows_at_leave",
     ):
         assert direct[key] == streamed[key], key
 
@@ -141,11 +155,27 @@ def test_scheduler_and_stream_plane_serve_the_same_fleet(schedule):
     assert direct["stalled"] == outcomes.count("stalled")
     assert direct["shed"] == outcomes.count("shed")
     assert direct["rejected"] == outcomes.count("rejected")
-    # Conservation: after drain every admitted window was classified in a
-    # flush (its row applied, or dropped if its session had left) or
-    # superseded by a fresher window from its session.
-    admitted = outcomes.count("queued") + outcomes.count("flushed")
     for played in (direct, streamed):
-        assert played["labels"] + sum(played["superseded_by_session"].values()) == admitted
-        applied = sum(len(rows) for rows in played["rows"].values())
-        assert applied <= played["labels"]
+        owed_to_departed = 0
+        for session_id, rows in played["rows"].items():
+            # Every rejected window was answered at once with a hold row.
+            hold_rows = len(rows) - classified(rows)
+            assert hold_rows == played["rejected_by_session"][session_id]
+            # Conservation: after drain every admitted window was applied or
+            # superseded by a fresher window from its session, except rows
+            # still on their way to a session when it left, which are dropped.
+            owed = (
+                played["admitted"].get(session_id, 0)
+                - classified(rows)
+                - played["superseded_by_session"][session_id]
+            )
+            if session_id in played["rows_at_leave"]:
+                assert len(rows) == played["rows_at_leave"][session_id]
+                assert owed >= 0
+                owed_to_departed += owed
+            else:
+                assert owed == 0, session_id
+        # The telemetry's classified count covers exactly the applied rows
+        # and the rows dropped for departed sessions.
+        applied = sum(classified(rows) for rows in played["rows"].values())
+        assert played["labels"] == applied + owed_to_departed
